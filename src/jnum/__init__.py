@@ -59,7 +59,6 @@ from .linalg import (
     cx_eq,
     fixed_points,
     is_nonelementary,
-    jorgensen_inequality_holds,
     jorgensen_pair,
     proj_dist,
 )
@@ -87,12 +86,9 @@ from .words import (
     SweepReport,
     Word,
     ball_levels,
-    commutator_word,
-    enumerate_words,
     evaluate,
     first_violation,
     inequality_sweep,
-    jtilde_upper_bound,
     min_c_entry,
     min_loxodromic_defect,
 )
@@ -104,13 +100,12 @@ __all__ = [
     # linalg
     "IDENT", "INF", "JReport", "Mat2", "MobiusClass", "classify",
     "commutator", "cx_eq", "fixed_points", "is_nonelementary",
-    "jorgensen_inequality_holds", "jorgensen_pair", "proj_dist",
+    "jorgensen_pair", "proj_dist",
     # integer polynomials
     "IntPoly",
     # words and sweeps
     "GeneratorSet", "SearchError", "SweepReport", "Word", "ball_levels",
-    "commutator_word", "enumerate_words", "evaluate", "first_violation",
-    "inequality_sweep", "jtilde_upper_bound", "min_c_entry",
+    "evaluate", "first_violation", "inequality_sweep", "min_c_entry",
     "min_loxodromic_defect",
     # two-bridge representations
     "RILEY_A", "BridgeReport", "GeometricRootError", "LinkPoly",

@@ -6,6 +6,11 @@ status of ok, violation, or error. The default output is one line per
 record; --json prints the envelope (the shape is pinned by
 data/cli_schema.json), --csv prints the records as a table.
 
+The knot and link commands render every record, on the ok path and on a
+refusal alike, from the one RootChoice of the two-bridge pipeline (a
+GeometricRootError carries it), so the polynomial is built and solved
+once per command.
+
 Exit status: 0 for ok, 1 for a violation or a pipeline failure, 2 for a
 usage error. The JNUM_TOL environment variable tightens or loosens the
 library tolerances; a --config file can override the comparison
@@ -33,9 +38,7 @@ from .catalog import (BIANCHI_DS, arithcomp_table, bianchi_alpha,
                       verify_relations)
 from .intpoly import IntPoly
 from .linalg import Mat2, jorgensen_pair, proj_dist
-from .riley import (GeometricRootError, RILEY_A, knot_jreport, knot_poly,
-                    link_jreport, link_poly, normalize, riley_b,
-                    select_geometric_root, solve_roots)
+from .riley import RILEY_A, knot_jreport, link_jreport, normalize, riley_b
 from .words import (GeneratorSet, SearchError, inequality_sweep,
                     min_loxodromic_defect)
 
@@ -151,30 +154,25 @@ def _cap(flag_value: Optional[int], cfg: dict, default: int) -> int:
 # knot / link
 
 
-def _root_records(roots, selected_index, rejected, screened: bool) -> list:
-    by_value = {complex(r): j for r, j in rejected}
+def _root_records(choice) -> list:
+    by_value = {complex(r): j for r, j in choice.rejected}
     records = []
-    for i, raw in enumerate(roots):
+    for i, raw in enumerate(choice.roots.roots):
         r = complex(raw)
         if abs(r.imag) <= tol.CX_EPS:
             status = "real"
-            screen_j = None
         elif r.imag < 0.0:
             status = "conjugate"
-            screen_j = None
-        elif not screened:
+        elif not choice.screened:
             status = "unscreened"
-            screen_j = None
         elif r in by_value:
             status = "rejected"
-            screen_j = by_value[r]
         else:
             status = "survivor"
-            screen_j = None
         records.append({"kind": "root", "index": i,
                         "z_re": r.real, "z_im": r.imag, "status": status,
-                        "screen_j": screen_j,
-                        "selected": i == selected_index})
+                        "screen_j": by_value.get(r),
+                        "selected": i == choice.index})
     return records
 
 
@@ -190,49 +188,41 @@ def _bridge_command(args, cfg: dict, is_knot_cmd: bool) -> dict:
         actual = "knot" if tb.is_knot else "link"
         raise UsageError(
             f"{p}/{q} is a two-bridge {actual} fraction; use the {actual} command")
-    if is_knot_cmd:
-        poly = knot_poly(tb.p, tb.q)
-        raw = None
-    else:
-        lp = link_poly(tb.p, tb.q)
-        poly = lp.normalized
-        raw = lp.raw
-    rs = solve_roots(poly)
     inputs = {"p": p, "q": q, "root_index": args.root_index,
               "max_len": sample_len}
     tols = {"cx_eps": tol.CX_EPS, "mat_eps": tol.MAT_EPS, "j_eps": tol.J_EPS}
-    screened = args.root_index is None
+    jreport = knot_jreport if is_knot_cmd else link_jreport
     try:
-        choice = select_geometric_root(tb, root_index=args.root_index,
-                                       sample_len=sample_len)
-        if is_knot_cmd:
-            rep = knot_jreport(tb.p, tb.q, root_index=choice.index)
-        else:
-            rep = link_jreport(tb.p, tb.q, root_index=choice.index)
+        rep = jreport(tb.p, tb.q, args.root_index, sample_len)
     except IndexError as exc:
         raise UsageError(str(exc))
-    except (GeometricRootError, SearchError) as exc:
-        records = _root_records(rs.roots, None, (), screened)
+    except SearchError as exc:
+        # a GeometricRootError carries the screen; a solver stall has none
+        choice = getattr(exc, "choice", None)
+        records = [] if choice is None else _root_records(choice)
         records.append({
             "kind": "error", "message": str(exc),
-            "non_hyperbolic": all(abs(r.imag) <= tol.CX_EPS for r in rs.roots),
+            "non_hyperbolic": choice is not None and all(
+                abs(r.imag) <= tol.CX_EPS for r in choice.roots.roots),
         })
         return _envelope(command, inputs, records, tols, "error")
-    records = _root_records(rs.roots, choice.index, choice.rejected, screened)
+    choice = rep.choice
+    poly = rep.poly
     z = complex(rep.z)
+    records = _root_records(choice)
     report = {
         "kind": "report", "fraction": f"{tb.p}/{tb.q}",
         "poly": poly.format(), "degree": poly.degree,
         "z_re": z.real, "z_im": z.imag, "modulus": abs(z),
         "jorgensen": rep.jorgensen, "waist": rep.waist,
         "in_ball": abs(z) < 4.0,
-        "ambiguous": choice.ambiguous if screened else False,
-        "residual": rs.residual,
+        "ambiguous": choice.ambiguous,
+        "residual": choice.roots.residual,
         "unit_constant": abs(poly.coeffs[0]) == 1,
         "unit_leading": abs(poly.coeffs[-1]) == 1,
     }
-    if raw is not None:
-        report["poly_raw"] = raw.format()
+    if choice.link_raw is not None:
+        report["poly_raw"] = choice.link_raw.format()
     records.append(report)
     return _envelope(command, inputs, records, tols, "ok")
 
@@ -364,9 +354,9 @@ def _suite_knot_table(args, cfg: dict):
     records = [{"kind": "constant", "name": "geodesic_defect_bound",
                 "value": geodesic_defect_bound()}]
     for row in knot_table():
-        computed = knot_poly(row.p, row.q)
-        quotient = _sign_matched_quotient(computed, row.minpoly)
         rep = knot_jreport(row.p, row.q)
+        computed = rep.poly
+        quotient = _sign_matched_quotient(computed, row.minpoly)
         z_dev = min(abs(rep.z - row.z), abs(rep.z - row.z.conjugate()))
         j_dev = abs(rep.jorgensen - row.jorgensen)
         gens = GeneratorSet(("A", "B"), (RILEY_A, riley_b(rep.z)))
@@ -477,7 +467,7 @@ def cmd_verify(args, cfg: dict) -> dict:
     inputs = {"suite": args.suite}
     try:
         records, tols, extra = _SUITES[args.suite](args, cfg)
-    except (GeometricRootError, SearchError) as exc:
+    except SearchError as exc:
         return _envelope("verify", inputs,
                          [{"kind": "error", "message": str(exc)}],
                          {"j_eps": _eps(cfg, tol.J_EPS)}, "error")

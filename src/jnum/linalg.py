@@ -94,8 +94,9 @@ class Mat2:
         while n:
             if n & 1:
                 result = result @ base
-            base = base @ base
             n >>= 1
+            if n:
+                base = base @ base
         return result
 
 
@@ -107,9 +108,6 @@ def mat_mul(x: Mat2, y: Mat2) -> Mat2:
     b = x.a * y.b + x.b * y.d
     c = x.c * y.a + x.d * y.c
     d = x.c * y.b + x.d * y.d
-    for entry in (a, b, c, d):
-        if not _finite(entry):
-            raise OverflowError("matrix product overflowed")
     return Mat2(a, b, c, d)
 
 
@@ -222,8 +220,3 @@ def is_nonelementary(x: Mat2, y: Mat2) -> bool:
             if _point_dist(p, q) <= tol.FIX_EPS:
                 return False
     return not cx_eq(commutator(x, y).trace, 2.0)
-
-
-def jorgensen_inequality_holds(x: Mat2, y: Mat2) -> bool:
-    """J(x, y) >= 1 - J_EPS. Meaningful when the pair is non-elementary."""
-    return jorgensen_pair(x, y).value >= 1.0 - tol.J_EPS

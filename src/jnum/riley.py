@@ -19,11 +19,17 @@ where f counts signed alternating index subsets and satisfies the
 recurrence f(i, t) = f(i-1, t) + [i = t mod 2] e_i f(i-1, t-1). The knot
 polynomial is W_22, the raw link polynomial W_21. A brute-force subset
 expansion (subset_oracle_poly) and the symbolic matrix product
-(word_matrix) give two independent cross-checks.
+(word_matrix) are reference oracles for the dynamic program.
 
 At a geometric root the Jorgensen number of the representation is |z|
 for knots (witnessed by the pair (A, W)) and |z|^2 for links (witnessed
 by (A, B)), with |z| < 4 in both cases.
+
+One pipeline computes this: select_geometric_root builds the polynomial,
+solves it once and screens its roots; the RootChoice it returns carries
+the RootSet. knot_jreport and link_jreport check the relation and J at
+the chosen root, with W evaluated as a numeric product of its letters,
+and refuse with GeometricRootError, which carries the RootChoice.
 """
 
 from __future__ import annotations
@@ -37,11 +43,7 @@ import numpy as np
 from . import tolerances as tol
 from .intpoly import IntPoly
 from .linalg import JReport, Mat2, jorgensen_pair
-from .words import GeneratorSet, SearchError, first_violation
-
-
-class GeometricRootError(RuntimeError):
-    """No root of the representation polynomial survives the discreteness screen."""
+from .words import GeneratorSet, SearchError, Word, evaluate, first_violation
 
 
 RILEY_A = Mat2(1.0, 1.0, 0.0, 1.0)
@@ -297,10 +299,13 @@ def solve_roots(poly: IntPoly) -> RootSet:
 
 @dataclass(frozen=True)
 class RootChoice:
-    """Outcome of the geometric-root screen."""
+    """Outcome of the geometric-root screen, with the roots it was made from."""
 
-    z: complex
-    index: int           # position in the RootSet ordering
+    roots: RootSet       # the solved knot or normalized link polynomial
+    link_raw: Optional[IntPoly]  # raw link polynomial W_21; None for knots
+    screened: bool       # False when root_index bypassed the screen
+    z: Optional[complex]  # None when every root was real or rejected
+    index: Optional[int]  # position of z in the RootSet ordering
     ambiguous: bool      # more than one candidate survived
     survivors: tuple
     rejected: tuple      # (root, J of the confirmed violation) pairs
@@ -318,42 +323,44 @@ def _screen_root(z: complex, sample_len: int) -> Optional[float]:
 
 def select_geometric_root(tb: TwoBridge, root_index: Optional[int] = None,
                           sample_len: int = 6) -> RootChoice:
-    """Pick the geometric root of the representation polynomial.
+    """Build and solve the representation polynomial, then pick the geometric root.
 
-    Real roots are discarded outright (they give representations into
-    PSL2(R), never the discrete faithful one of a hyperbolic two-bridge
+    This is the one place the two-bridge pipeline builds its polynomial and
+    solves it. Real roots are discarded outright (they give representations
+    into PSL2(R), never the discrete faithful one of a hyperbolic two-bridge
     complement). The remaining roots are merged into conjugate pairs,
     represented in the upper half plane, and screened by a Jorgensen
     inequality sweep over <A, B(z)> at word lengths 2..sample_len; any
     confirmed non-elementary pair with J < 1 rejects the root. Of the
-    survivors the one of smallest modulus is returned, flagged ambiguous
-    when others survived too. root_index bypasses the whole screen and
-    picks that position of the RootSet ordering.
+    survivors the one of smallest modulus is chosen, flagged ambiguous
+    when others survived too; with no survivor z and index are None.
+    root_index bypasses the whole screen and picks that position of the
+    RootSet ordering.
     """
-    poly = knot_poly(tb.p, tb.q) if tb.is_knot else link_poly(tb.p, tb.q).normalized
+    if tb.is_knot:
+        poly, raw = knot_poly(tb.p, tb.q), None
+    else:
+        lp = link_poly(tb.p, tb.q)
+        poly, raw = lp.normalized, lp.raw
     rs = solve_roots(poly)
     if root_index is not None:
         if not 0 <= root_index < len(rs.roots):
             raise IndexError(f"root index {root_index} out of range 0..{len(rs.roots) - 1}")
-        return RootChoice(rs.roots[root_index], root_index, False, (), ())
-    candidates = []
-    for i, r in enumerate(rs.roots):
-        if r.imag > tol.CX_EPS:
-            candidates.append((i, r))
+        return RootChoice(rs, raw, False, rs.roots[root_index], root_index,
+                          False, (), ())
     survivors = []
     rejected = []
-    for i, r in candidates:
+    for i, r in enumerate(rs.roots):
+        if r.imag <= tol.CX_EPS:
+            continue
         bad_j = _screen_root(r, sample_len)
         if bad_j is None:
             survivors.append((i, r))
         else:
             rejected.append((r, bad_j))
-    if not survivors:
-        raise GeometricRootError(
-            f"no geometric root for {tb.p}/{tb.q}: all roots real or rejected")
     survivors.sort(key=lambda t: (abs(t[1]), t[1].real))
-    idx, z = survivors[0]
-    return RootChoice(z, idx, len(survivors) > 1,
+    idx, z = survivors[0] if survivors else (None, None)
+    return RootChoice(rs, raw, True, z, idx, len(survivors) > 1,
                       tuple(r for _, r in survivors), tuple(rejected))
 
 
@@ -361,24 +368,77 @@ def select_geometric_root(tb: TwoBridge, root_index: Optional[int] = None,
 # reports
 
 
+class GeometricRootError(SearchError):
+    """The two-bridge pipeline cannot certify J at a geometric root.
+
+    Raised when no root survives the screen or the chosen root fails a
+    check; choice is the screen's outcome, for reporting the roots.
+    """
+
+    def __init__(self, message: str, choice: RootChoice):
+        super().__init__(message)
+        self.choice = choice
+
+
 @dataclass(frozen=True)
 class BridgeReport:
     """Representation data of a two-bridge knot or link at its geometric root."""
 
     bridge: TwoBridge
-    poly: IntPoly        # knot polynomial, or normalized link polynomial
-    z: complex
+    choice: RootChoice
     jorgensen: float     # |z| for knots, |z|^2 for links
     waist: float         # shortest-waist upper bound: sqrt(|z|) resp. |z|
-    ambiguous: bool
     pair: JReport        # witness pair: (A, W) for knots, (A, B) for links
 
+    @property
+    def poly(self) -> IntPoly:
+        """The knot polynomial, or the normalized link polynomial."""
+        return self.choice.roots.poly
 
-def _check_relation(lhs: Mat2, rhs: Mat2, what: str):
+    @property
+    def z(self) -> complex:
+        return self.choice.z
+
+    @property
+    def ambiguous(self) -> bool:
+        return self.choice.ambiguous
+
+
+def _bridge_jreport(tb: TwoBridge, root_index: Optional[int],
+                    sample_len: int) -> BridgeReport:
+    """Jorgensen data of the two-bridge knot or link tb at its geometric root.
+
+    Knots (p odd) satisfy A W = W B and J = J(A, W) = |z|; links (p even)
+    satisfy A W = W A and J = J(A, B) = |z|^2. W is the numeric product of
+    its p - 1 letters at z, which keeps its determinant within rounding of
+    1 where the polynomial entries of word_matrix cancel badly.
+    """
+    choice = select_geometric_root(tb, root_index, sample_len)
+    z = choice.z
+    if z is None:
+        raise GeometricRootError(
+            f"no geometric root for {tb.p}/{tb.q}: all roots real or rejected", choice)
+    if abs(z) >= 4.0:
+        raise GeometricRootError(f"selected root has |z| = {abs(z):.6f} >= 4", choice)
+    knot = tb.is_knot
+    b = riley_b(z)
+    w = evaluate(GeneratorSet(("A", "B"), (RILEY_A, b)), Word.from_letters(
+        (i % 2, e) for i, e in enumerate(tb.exponents(), start=1)))
+    lhs, rhs = RILEY_A @ w, w @ (b if knot else RILEY_A)
     scale = 1.0 + max(abs(e) for e in lhs.entries())
-    dev = max(abs(p - q) for p, q in zip(lhs.entries(), rhs.entries()))
+    dev = max(abs(u - v) for u, v in zip(lhs.entries(), rhs.entries()))
     if dev > tol.MAT_EPS * scale:
-        raise SearchError(f"{what} fails by {dev:.3e} at the selected root")
+        relation = "A W = W B" if knot else "A W = W A"
+        raise GeometricRootError(
+            f"the defining relation {relation} fails by {dev:.3e} at the selected root",
+            choice)
+    jr = jorgensen_pair(RILEY_A, w if knot else b)
+    want = abs(z) if knot else abs(z) ** 2
+    if abs(jr.value - want) > 1e-6 * (1.0 + want):
+        raise GeometricRootError(
+            f"{'J(A, W)' if knot else 'J(A, B)'} = {jr.value} disagrees with "
+            f"{'|z|' if knot else '|z|^2'} = {want}", choice)
+    return BridgeReport(tb, choice, jr.value, math.sqrt(abs(z)) if knot else abs(z), jr)
 
 
 def knot_jreport(p: int, q: int, root_index: Optional[int] = None,
@@ -387,17 +447,7 @@ def knot_jreport(p: int, q: int, root_index: Optional[int] = None,
     tb = normalize(p, q)
     if not tb.is_knot:
         raise ValueError(f"{p}/{q} is a link fraction; use link_jreport")
-    choice = select_geometric_root(tb, root_index=root_index, sample_len=sample_len)
-    z = choice.z
-    if abs(z) >= 4.0:
-        raise SearchError(f"selected root has |z| = {abs(z):.6f} >= 4")
-    w = word_matrix(p, q).eval(z)
-    _check_relation(RILEY_A @ w, w @ riley_b(z), "the defining relation A W = W B")
-    jr = jorgensen_pair(RILEY_A, w)
-    if abs(jr.value - abs(z)) > 1e-6 * (1.0 + abs(z)):
-        raise SearchError(f"J(A, W) = {jr.value} disagrees with |z| = {abs(z)}")
-    return BridgeReport(tb, knot_poly(p, q), z, jr.value,
-                        math.sqrt(abs(z)), choice.ambiguous, jr)
+    return _bridge_jreport(tb, root_index, sample_len)
 
 
 def link_jreport(p: int, q: int, root_index: Optional[int] = None,
@@ -406,14 +456,4 @@ def link_jreport(p: int, q: int, root_index: Optional[int] = None,
     tb = normalize(p, q)
     if tb.is_knot:
         raise ValueError(f"{p}/{q} is a knot fraction; use knot_jreport")
-    choice = select_geometric_root(tb, root_index=root_index, sample_len=sample_len)
-    z = choice.z
-    if abs(z) >= 4.0:
-        raise SearchError(f"selected root has |z| = {abs(z):.6f} >= 4")
-    w = word_matrix(p, q).eval(z)
-    _check_relation(RILEY_A @ w, w @ RILEY_A, "the defining relation A W = W A")
-    jr = jorgensen_pair(RILEY_A, riley_b(z))
-    if abs(jr.value - abs(z) ** 2) > 1e-6 * (1.0 + abs(z) ** 2):
-        raise SearchError(f"J(A, B) = {jr.value} disagrees with |z|^2 = {abs(z) ** 2}")
-    return BridgeReport(tb, link_poly(p, q).normalized, z, jr.value,
-                        abs(z), choice.ambiguous, jr)
+    return _bridge_jreport(tb, root_index, sample_len)

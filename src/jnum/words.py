@@ -1,30 +1,25 @@
-"""Reduced words over a generator set: enumeration, evaluation, and the
-ball sweeps behind waist bounds, loxodromic defect minima, and upper bounds
-for the generalized Jorgensen number.
+"""Reduced words over a generator set: evaluation, and the ball sweeps
+behind waist bounds, loxodromic defect minima, and the Jorgensen
+inequality checks.
 
-enumerate_words streams every freely reduced word exactly once (raw, no
-dedup). The aggregate operations (min_c_entry, min_loxodromic_defect,
-jtilde_upper_bound, inequality_sweep) instead walk a breadth-first ball of
-group elements with projective dedup on a 1e-6 quantization grid, which is
-what keeps depth-12 sweeps tractable.
+The aggregate operations (min_c_entry, min_loxodromic_defect,
+first_violation, inequality_sweep) walk a breadth-first ball of group
+elements with projective dedup on a 1e-6 quantization grid, which is what
+keeps depth-12 sweeps tractable. The two inequality checks share one
+stream of pair candidates: every ordered ball pair is screened by its
+commutator trace and J, and the pairs below the threshold are confirmed
+in ascending J.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
 from . import tolerances as tol
-from .linalg import (
-    IDENT,
-    JReport,
-    Mat2,
-    cx_eq,
-    is_nonelementary,
-    jorgensen_pair,
-)
+from .linalg import IDENT, Mat2, is_nonelementary
 
 
 class SearchError(RuntimeError):
@@ -113,10 +108,6 @@ class Word:
         return " ".join(parts)
 
 
-def commutator_word(a: Word, b: Word) -> Word:
-    return a * b * a.inverse() * b.inverse()
-
-
 @dataclass(frozen=True)
 class GeneratorSet:
     names: tuple
@@ -151,39 +142,6 @@ def evaluate(gens: GeneratorSet, w: Word) -> Mat2:
             raise IndexError(f"generator index {idx} out of range")
         m = m @ gens.mats[idx].power(exp)
     return m
-
-
-def enumerate_words(gens: GeneratorSet, max_len: int) -> Iterator[tuple]:
-    """Every freely reduced word of length <= max_len, exactly once, with its matrix.
-
-    The stream is raw and complete (no dedup); downstream minima dedup
-    projectively on their own.
-    """
-    if max_len > 16:
-        raise ValueError("max_len capped at 16")
-    yield Word(()), IDENT
-    if max_len < 1:
-        return
-    g = gens.arity
-    # symbol 2i is generator i, symbol 2i+1 its inverse; s ^ 1 is the inverse symbol
-    sym_mats = []
-    for m in gens.mats:
-        sym_mats.append(m)
-        sym_mats.append(m.inv())
-
-    def rec(seq, mat, last, depth):
-        for s in range(2 * g):
-            if last is not None and s == last ^ 1:
-                continue
-            seq.append(s)
-            nm = mat @ sym_mats[s]
-            yield Word.from_letters(
-                ((t >> 1, -1 if t & 1 else 1) for t in seq)), nm
-            if depth + 1 < max_len:
-                yield from rec(seq, nm, s, depth + 1)
-            seq.pop()
-
-    yield from rec([], IDENT, None, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -368,58 +326,51 @@ def _mat_of(row: np.ndarray) -> Mat2:
                 complex(row[1, 0]), complex(row[1, 1]))
 
 
-def jtilde_upper_bound(gens: GeneratorSet, max_len: int) -> JReport:
-    """Minimum J over ordered non-elementary pairs of ball elements.
+def _violations(mats: np.ndarray, threshold: float):
+    """(n_candidates, stream of confirmed violations) over all ordered pairs.
 
-    Candidate pairs are prefiltered by tr [X, Y] != 2 (a shared fixed point
-    forces the commutator trace to equal 2 exactly) and then confirmed with
-    the full elementarity heuristic, cheapest J first.
+    Candidate pairs are those with tr [X, Y] != 2 (a shared fixed point
+    forces the commutator trace to equal 2 exactly); they are only counted.
+    The few below threshold are kept and confirmed with the full
+    elementarity heuristic lazily, in ascending J, each yielded as (J, x, y).
     """
-    mats = _ball_elements(gens, max_len)
-    if len(mats) == 0:
-        raise SearchError("empty ball")
-    cands = []
+    n_candidates = 0
+    low = []
     for start, jval, comm in _pair_stats_blocks(mats):
         mask = np.abs(comm - 2.0) > 1e-8
-        idx = np.nonzero(mask)
-        for r, c_ in zip(*idx):
-            cands.append((jval[r, c_], start + r, c_))
-    if not cands:
-        raise SearchError("no candidate pair with commutator trace away from 2")
-    cands.sort(key=lambda t: t[0])
-    for _, i, j in cands:
-        x = _mat_of(mats[i])
-        y = _mat_of(mats[j])
-        if is_nonelementary(x, y):
-            return jorgensen_pair(x, y)
-    raise SearchError("no non-elementary pair found in the ball")
+        n_candidates += int(np.count_nonzero(mask))
+        # named, so it is freed only with the next block: freeing it at once
+        # raised the sweep's peak RSS by 5 MB (allocator placement)
+        below = mask & (jval < threshold)
+        rows, cols = np.nonzero(below)
+        if len(rows):
+            low.append((jval[rows, cols], rows + start, cols))
+
+    def confirmed():
+        if not low:
+            return
+        jv, rows, cols = (np.concatenate(part) for part in zip(*low))
+        for k in np.argsort(jv, kind="stable"):
+            x = _mat_of(mats[rows[k]])
+            y = _mat_of(mats[cols[k]])
+            if is_nonelementary(x, y):
+                yield float(jv[k]), x, y
+
+    return n_candidates, confirmed()
 
 
 def first_violation(gens: GeneratorSet, max_len: int,
                     threshold: Optional[float] = None):
     """Cheapest confirmed non-elementary pair with J below threshold, or None.
 
-    Early-exit variant of inequality_sweep: candidates are verified in
-    ascending J order and the first confirmed violation is returned as
-    (J, x, y). Used to discard non-discrete candidate groups quickly.
+    Early-exit form of inequality_sweep: the first confirmed violation in
+    ascending J is returned as (J, x, y). Used to discard non-discrete
+    candidate groups quickly.
     """
     if threshold is None:
         threshold = 1.0 - tol.J_EPS
-    mats = _ball_elements(gens, max_len)
-    if len(mats) == 0:
-        return None
-    cands = []
-    for start, jval, comm in _pair_stats_blocks(mats):
-        low = (np.abs(comm - 2.0) > 1e-8) & (jval < threshold)
-        for r, c_ in zip(*np.nonzero(low)):
-            cands.append((float(jval[r, c_]), start + r, int(c_)))
-    cands.sort(key=lambda t: t[0])
-    for jv, i, j in cands:
-        x = _mat_of(mats[i])
-        y = _mat_of(mats[j])
-        if is_nonelementary(x, y):
-            return jv, x, y
-    return None
+    _, stream = _violations(_ball_elements(gens, max_len), threshold)
+    return next(stream, None)
 
 
 @dataclass(frozen=True)
@@ -429,7 +380,7 @@ class SweepReport:
     n_elements: int
     n_pairs: int
     n_candidates: int
-    violations: tuple  # (J, x, y) triples confirmed non-elementary below threshold
+    violations: tuple  # confirmed non-elementary (J, x, y) below threshold, ascending J
     threshold: float
 
 
@@ -439,16 +390,6 @@ def inequality_sweep(gens: GeneratorSet, max_len: int,
     if threshold is None:
         threshold = 1.0 - tol.J_EPS
     mats = _ball_elements(gens, max_len)
+    n_candidates, stream = _violations(mats, threshold)
     n = len(mats)
-    n_candidates = 0
-    violations = []
-    for start, jval, comm in _pair_stats_blocks(mats):
-        mask = np.abs(comm - 2.0) > 1e-8
-        n_candidates += int(mask.sum())
-        low = mask & (jval < threshold)
-        for r, c_ in zip(*np.nonzero(low)):
-            x = _mat_of(mats[start + r])
-            y = _mat_of(mats[c_])
-            if is_nonelementary(x, y):
-                violations.append((float(jval[r, c_]), x, y))
-    return SweepReport(n, n * n, n_candidates, tuple(violations), threshold)
+    return SweepReport(n, n * n, n_candidates, tuple(stream), threshold)

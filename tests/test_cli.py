@@ -123,6 +123,74 @@ def test_link_error_envelope(capsys):
     assert "no geometric root" in err["message"]
 
 
+def _word_at(p, q, z):
+    """W = B^e1 A^e2 B^e3 ... at z as nested tuples, letter by letter."""
+    w = ((1, 0), (0, 1))
+    for i in range(1, p):
+        e = -1 if (i * q // p) % 2 else 1
+        letter = ((1, 0), (e * z, 1)) if i % 2 else ((1, e), (0, 1))
+        w = tuple(tuple(sum(w[r][k] * letter[k][c] for k in range(2))
+                        for c in range(2)) for r in range(2))
+    return w
+
+
+@pytest.mark.parametrize("fraction", ["25/3", "25/23", "27/4", "29/5", "31/25"])
+def test_large_word_fractions_answer_or_refuse(capsys, fraction):
+    # W has polynomial entries with coefficients near 9,000 here; evaluating
+    # them at the root used to drift det(W) past 1e-9 and raise out of main
+    code, env = run_json(capsys, ["knot", fraction])
+    assert code in (0, 1)
+    assert env["status"] == ("ok" if code == 0 else "error")
+    if code == 1:
+        record(env, "error")
+        return
+    rep = record(env, "report")
+    z = complex(rep["z_re"], rep["z_im"])
+    p, q = map(int, fraction.split("/"))
+    w = _word_at(p, q, z)
+    aw = ((w[0][0] + w[1][0], w[0][1] + w[1][1]), w[1])
+    wb = ((w[0][0] + z * w[0][1], w[0][1]), (w[1][0] + z * w[1][1], w[1][1]))
+    scale = 1.0 + max(abs(e) for row in w for e in row)
+    dev = max(abs(aw[r][c] - wb[r][c]) for r in range(2) for c in range(2))
+    assert dev <= 1e-6 * scale
+    assert rep["jorgensen"] == pytest.approx(abs(z), abs=1e-6)
+
+
+@pytest.mark.parametrize("argv", [
+    ["knot", "7/3"], ["link", "8/3"], ["knot", "7/3", "--root-index", "0"],
+    ["link", "4/1"]])
+def test_bridge_op_builds_and_solves_once(capsys, monkeypatch, argv):
+    import jnum.riley as riley
+    calls = {"poly": 0, "solve_roots": 0, "select_geometric_root": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("knot_poly", "link_poly"):
+        monkeypatch.setattr(riley, name, counted("poly", getattr(riley, name)))
+    for name in ("solve_roots", "select_geometric_root"):
+        monkeypatch.setattr(riley, name, counted(name, getattr(riley, name)))
+    code, env = run_json(capsys, argv)
+    assert code == (1 if argv[1] == "4/1" else 0)
+    assert calls == {"poly": 1, "solve_roots": 1, "select_geometric_root": 1}
+
+
+def test_error_envelope_keeps_the_screen(capsys):
+    # 27/16 fails its relation check at the chosen root; the root records
+    # still show what the screen decided
+    code, env = run_json(capsys, ["knot", "27/16"])
+    assert code == 1 and env["status"] == "error"
+    roots = [r for r in env["results"] if r["kind"] == "root"]
+    rejected = [r for r in roots if r["status"] == "rejected"]
+    assert len(rejected) == 4
+    assert all(r["screen_j"] < 1.0 for r in rejected)
+    assert [r["index"] for r in roots if r["selected"]] == [10]
+    assert "A W = W B" in record(env, "error")["message"]
+
+
 # ---------------------------------------------------------------------------
 # bianchi / gtk envelopes
 

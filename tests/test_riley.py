@@ -20,6 +20,7 @@ from jnum.riley import (
     subset_oracle_poly,
     word_matrix,
 )
+from jnum.words import GeneratorSet, first_violation, inequality_sweep
 
 OMEGA = 0.5 + 0.8660254037844386j  # primitive sixth root of unity
 
@@ -272,3 +273,34 @@ def test_root_index_reaches_a_rejected_representation():
 def test_sample_len_passthrough():
     rep = knot_jreport(5, 3, sample_len=2)
     assert abs(rep.jorgensen - 1.0) <= 1e-9
+
+
+def test_refusal_carries_the_screen():
+    # 25/23 has an odd q but its chosen root misses A W = W B by more than
+    # MAT_EPS: the refusal keeps the solved roots and the screen's verdicts
+    with pytest.raises(GeometricRootError) as exc:
+        knot_jreport(25, 23)
+    choice = exc.value.choice
+    assert choice.index == 11 and choice.screened
+    assert len(choice.roots.roots) == 12
+    assert len(choice.rejected) == 5
+
+
+def test_report_carries_its_choice():
+    rep = link_jreport(8, 3)
+    assert rep.choice.roots.poly == rep.poly == link_poly(8, 3).normalized
+    assert rep.choice.link_raw == link_poly(8, 3).raw
+    assert knot_jreport(7, 3).choice.link_raw is None
+
+
+@pytest.mark.parametrize("z, violated", [(0.1, True), (OMEGA, False)])
+def test_first_violation_is_the_cheapest_sweep_violation(z, violated):
+    # both come from one stream of pair candidates confirmed in ascending J
+    gens = GeneratorSet(("A", "B"), (RILEY_A, riley_b(z)))
+    hit = first_violation(gens, 3)
+    violations = inequality_sweep(gens, 3).violations
+    assert bool(violations) is violated
+    assert (hit is None) is (not violations)
+    if violated:
+        assert hit[0] == min(v[0] for v in violations)
+        assert [v[0] for v in violations] == sorted(v[0] for v in violations)

@@ -4,9 +4,8 @@ import pytest
 
 from jnum.linalg import Mat2, proj_dist
 from jnum.riley import RILEY_A, riley_b
-from jnum.words import (GeneratorSet, Word, ball_levels, commutator_word,
-                        enumerate_words, evaluate, first_violation,
-                        inequality_sweep, jtilde_upper_bound, min_c_entry,
+from jnum.words import (GeneratorSet, Word, ball_levels, evaluate,
+                        first_violation, inequality_sweep, min_c_entry,
                         min_loxodromic_defect)
 
 Z8 = 0.5 + 0.8660254037844386j  # the root of 1 - z + z^2 in the upper half plane
@@ -37,8 +36,6 @@ def test_inverse_product_power():
     assert (w * w.inverse()).length == 0
     assert w.power(3).show(names) == "A B A B A B"
     assert w.power(-1).show(names) == "B^-1 A^-1"
-    assert commutator_word(Word.parse("A", names), Word.parse("B", names)) \
-        == Word.parse("ABA'B'", names)
 
 
 def test_evaluate_matches_direct_product():
@@ -47,19 +44,7 @@ def test_evaluate_matches_direct_product():
     assert proj_dist(evaluate(FIG8, w), a @ b @ a.inv() @ b.inv()) <= 1e-12
 
 
-# --- enumeration -------------------------------------------------------------
-
-def test_enumerate_words_counts_freely_reduced_stream():
-    # 2 generators: 1 empty word + 4 * 3^(l-1) words per length l
-    words = list(enumerate_words(FIG8, 3))
-    assert len(words) == 1 + 4 + 12 + 36
-    lengths = [w.length for w, _ in words]
-    assert lengths.count(3) == 36
-    seen = set(w.letters for w, _ in words)
-    assert len(seen) == len(words)
-    with pytest.raises(ValueError):
-        list(enumerate_words(FIG8, 17))
-
+# --- the ball ----------------------------------------------------------------
 
 def test_ball_levels_fig8_frozen_sizes():
     # the first collapses appear at radius 5: 324 raw reduced words fold
@@ -94,11 +79,6 @@ def test_min_loxodromic_defect_fig8_depth2():
     # |tr^2 - 4| = |z| |z - 4| = sqrt(13) exactly
     d = min_loxodromic_defect(FIG8, 2)
     assert abs(d - math.sqrt(13.0)) <= 1e-9
-
-
-def test_jtilde_upper_bound_fig8():
-    rep = jtilde_upper_bound(FIG8, 3)
-    assert abs(rep.value - 1.0) <= 1e-9
 
 
 def test_first_violation_finds_small_c():
