@@ -76,14 +76,13 @@ class QuadImagField:
         return f"Q(sqrt(-{self.d}))"
 
 
-def recognize_quad_imaginary(x: complex, coeff_bound: int = 10 ** 6
-                             ) -> Optional[QuadImagField]:
+def recognize_quad_imaginary(x: complex) -> Optional[QuadImagField]:
     """Recognize x as an element of an imaginary quadratic field.
 
     Solves x^2 + bx + c = 0 for real b, c directly (b from the imaginary
     parts, c from the real parts), rounds to integers, and verifies. Returns
     None for real x, for non-integer minimal polynomials, and when the
-    rounded coefficients exceed coeff_bound.
+    rounded coefficients exceed RECOGNIZE_COEFF_CAP.
     """
     x = complex(x)
     if abs(x.imag) <= tol.CX_EPS:
@@ -92,10 +91,10 @@ def recognize_quad_imaginary(x: complex, coeff_bound: int = 10 ** 6
     b = -x2.imag / x.imag
     c = -x2.real - b * x.real
     br, cr = round(b), round(c)
-    if abs(br) > coeff_bound or abs(cr) > coeff_bound:
+    if abs(br) > tol.RECOGNIZE_COEFF_CAP or abs(cr) > tol.RECOGNIZE_COEFF_CAP:
         return None
     scale = 1.0 + abs(x) ** 2
-    if abs(x2 + br * x + cr) > 1e-6 * scale:
+    if abs(x2 + br * x + cr) > tol.RECOGNIZE_EPS * scale:
         return None
     disc = 4 * cr - br * br
     if disc <= 0:

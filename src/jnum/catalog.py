@@ -27,6 +27,7 @@ from functools import lru_cache
 from importlib import resources
 from typing import Optional
 
+from . import tolerances as tol
 from .intpoly import IntPoly
 from .linalg import IDENT, Mat2, proj_dist
 from .words import GeneratorSet, Word, evaluate
@@ -125,7 +126,7 @@ class RelationReport:
     deviations: tuple
     max_deviation: float
 
-    def ok(self, eps: float = 1e-9) -> bool:
+    def ok(self, eps: float) -> bool:
         return self.max_deviation <= eps
 
 
@@ -255,7 +256,7 @@ def _scaled_identification(theta: Fraction, n: int, row: GtkFamilyRow):
     return _SWAP_EXTENSION.format("; enlarged trace field")
 
 
-def family_match(params: GtkParams, k_eps: float = 1e-9) -> Optional[FamilyMatch]:
+def family_match(params: GtkParams) -> Optional[FamilyMatch]:
     """Look (theta, k) up in the family table, None if absent.
 
     The theta = pi/6 and theta = pi/3 rows stand for every positive
@@ -269,9 +270,9 @@ def family_match(params: GtkParams, k_eps: float = 1e-9) -> Optional[FamilyMatch
             continue
         if theta in (Fraction(1, 6), Fraction(1, 3)):
             n = round(params.k / half_rt3)
-            if n >= 1 and abs(params.k - n * half_rt3) <= k_eps:
+            if n >= 1 and abs(params.k - n * half_rt3) <= tol.PARAM_EPS:
                 return FamilyMatch(row, n, _scaled_identification(theta, n, row))
-        elif abs(params.k - row.params.k) <= k_eps:
+        elif abs(params.k - row.params.k) <= tol.PARAM_EPS:
             return FamilyMatch(row, 1, row.identification)
     return None
 
@@ -281,7 +282,7 @@ def unit_j_pairs() -> tuple:
     arithcomp entries with expected J equal to 1, as (label, GeneratorSet)."""
     pairs = [(row.label, row.generators()) for row in gtk_families()]
     pairs.extend((e.label, e.generators) for e in arithcomp_table()
-                 if abs(e.expected_j - 1.0) <= 1e-12)
+                 if abs(e.expected_j - 1.0) <= tol.ROUND_EPS)
     return tuple(pairs)
 
 
@@ -300,7 +301,7 @@ class IdentityCheck:
     label: str
     deviation: float
 
-    def ok(self, eps: float = 1e-9) -> bool:
+    def ok(self, eps: float) -> bool:
         return self.deviation <= eps
 
 

@@ -36,7 +36,6 @@ from .catalog import (BIANCHI_DS, arithcomp_table, bianchi_alpha,
                       geodesic_defect_bound, gtk_families, gtk_generators,
                       GtkParams, knot_table, losid_identity_suite,
                       verify_relations)
-from .intpoly import IntPoly
 from .linalg import Mat2, jorgensen_pair, proj_dist
 from .riley import RILEY_A, knot_jreport, link_jreport, normalize, riley_b
 from .words import (GeneratorSet, SearchError, inequality_sweep,
@@ -239,6 +238,14 @@ def cmd_link(args, cfg: dict) -> dict:
 # bianchi / gtk
 
 
+def _relator_records(gens: GeneratorSet, d: int, eps: float, /, **tag) -> list:
+    """One record per defining relator of PSL2(O_d), judged against eps."""
+    rep = verify_relations(gens, bianchi_relations(d))
+    return [{"kind": "relator", **tag, "word": w.show(gens.names),
+             "deviation": dev, "ok": dev <= eps}
+            for w, dev in zip(rep.words, rep.deviations)]
+
+
 def cmd_bianchi(args, cfg: dict) -> dict:
     if args.d not in BIANCHI_DS:
         raise UsageError(f"--d must be one of {', '.join(map(str, BIANCHI_DS))}")
@@ -251,11 +258,9 @@ def cmd_bianchi(args, cfg: dict) -> dict:
                     "alpha_re": alpha.real, "alpha_im": alpha.imag})
     status = "ok"
     if args.verify:
-        rep = verify_relations(gens, bianchi_relations(args.d))
-        for w, dev in zip(rep.words, rep.deviations):
-            records.append({"kind": "relator", "word": w.show(gens.names),
-                            "deviation": dev, "ok": dev <= eps})
-        if not rep.ok(eps):
+        relators = _relator_records(gens, args.d, eps)
+        records.extend(relators)
+        if not all(r["ok"] for r in relators):
             status = "violation"
     inputs = {"d": args.d, "verify": bool(args.verify)}
     return _envelope("bianchi", inputs, records, {"mat_eps": eps}, status)
@@ -302,29 +307,20 @@ def cmd_gtk(args, cfg: dict) -> dict:
 # verify suites
 
 
-def _suite_bianchi(args, cfg: dict):
-    eps = _eps(cfg, tol.MAT_EPS)
+def _suite_bianchi(eps: float, max_len: Optional[int]) -> list:
     records = []
     for d in BIANCHI_DS:
-        gens = bianchi_generators(d)
-        rep = verify_relations(gens, bianchi_relations(d))
-        for w, dev in zip(rep.words, rep.deviations):
-            records.append({"kind": "relator", "d": d,
-                            "word": w.show(gens.names),
-                            "deviation": dev, "ok": dev <= eps})
-    return records, {"mat_eps": eps}, {}
+        records.extend(_relator_records(bianchi_generators(d), d, eps, d=d))
+    return records
 
 
-def _suite_losid(args, cfg: dict):
-    eps = _eps(cfg, tol.MAT_EPS)
-    records = [{"kind": "identity", "label": chk.label,
-                "deviation": chk.deviation, "ok": chk.ok(eps)}
-               for chk in losid_identity_suite()]
-    return records, {"mat_eps": eps}, {}
+def _suite_losid(eps: float, max_len: Optional[int]) -> list:
+    return [{"kind": "identity", "label": chk.label,
+             "deviation": chk.deviation, "ok": chk.ok(eps)}
+            for chk in losid_identity_suite()]
 
 
-def _suite_arithcomp(args, cfg: dict):
-    eps = _eps(cfg, 1e-6)
+def _suite_arithcomp(eps: float, max_len: Optional[int]) -> list:
     records = []
     for entry in arithcomp_table():
         gens = entry.generators
@@ -335,28 +331,20 @@ def _suite_arithcomp(args, cfg: dict):
                         "c_re": c.real, "c_im": c.imag,
                         "expected_j": entry.expected_j, "jorgensen": j,
                         "deviation": dev, "ok": dev <= eps})
-    return records, {"j_eps": eps}, {}
+    return records
 
 
-def _sign_matched_quotient(poly: IntPoly, divisor: IntPoly):
-    """poly / divisor over Z, trying both signs of the divisor; None if inexact."""
-    for cand in (divisor, -divisor):
-        try:
-            return poly.divexact(cand)
-        except ValueError:
-            continue
-    return None
-
-
-def _suite_knot_table(args, cfg: dict):
-    eps = _eps(cfg, 1e-6)
-    max_len = _cap(args.max_len, cfg, 12)
+def _suite_knot_table(eps: float, max_len: Optional[int]) -> list:
     records = [{"kind": "constant", "name": "geodesic_defect_bound",
                 "value": geodesic_defect_bound()}]
     for row in knot_table():
         rep = knot_jreport(row.p, row.q)
         computed = rep.poly
-        quotient = _sign_matched_quotient(computed, row.minpoly)
+        try:
+            computed.divexact(row.minpoly)
+            divides = True
+        except ValueError:
+            divides = False
         z_dev = min(abs(rep.z - row.z), abs(rep.z - row.z.conjugate()))
         j_dev = abs(rep.jorgensen - row.jorgensen)
         gens = GeneratorSet(("A", "B"), (RILEY_A, riley_b(rep.z)))
@@ -366,13 +354,13 @@ def _suite_knot_table(args, cfg: dict):
             used_len = max_len + 2
             alpha = min_loxodromic_defect(gens, used_len)
         alpha_dev = abs(alpha - row.alpha)
-        ok = (quotient is not None and z_dev <= eps and j_dev <= eps
+        ok = (divides and z_dev <= eps and j_dev <= eps
               and alpha_dev <= eps
               and abs(computed.coeffs[0]) == 1 and abs(computed.coeffs[-1]) == 1)
         records.append({
             "kind": "knot", "label": row.label, "p": row.p, "q": row.q,
             "poly": computed.format(), "minpoly": row.minpoly.format(),
-            "minpoly_divides": quotient is not None,
+            "minpoly_divides": divides,
             "z_re": rep.z.real, "z_im": rep.z.imag, "z_dev": z_dev,
             "jorgensen": rep.jorgensen, "j_dev": j_dev,
             "alpha": alpha, "alpha_dev": alpha_dev, "max_len": used_len,
@@ -380,11 +368,10 @@ def _suite_knot_table(args, cfg: dict):
             "unit_leading": abs(computed.coeffs[-1]) == 1,
             "ok": ok,
         })
-    return records, {"j_eps": eps}, {"max_len": max_len}
+    return records
 
 
-def _suite_elliptic(args, cfg: dict):
-    eps = _eps(cfg, 1e-12)
+def _suite_elliptic(eps: float, max_len: Optional[int]) -> list:
     records = []
     for n in ELLIPTIC_ORDERS:
         j = elliptic_j_value(n)
@@ -403,11 +390,10 @@ def _suite_elliptic(args, cfg: dict):
             "expected_failed": ",".join(map(str, expected)),
             "ok": rep.failed == expected,
         })
-    return records, {"j_eps": eps}, {}
+    return records
 
 
-def _suite_gtk_families(args, cfg: dict):
-    eps = _eps(cfg, tol.J_EPS)
+def _suite_gtk_families(eps: float, max_len: Optional[int]) -> list:
     records = []
     for row in gtk_families():
         gens = row.generators()
@@ -427,13 +413,10 @@ def _suite_gtk_families(args, cfg: dict):
             "symmetry_dev": sym_dev,
             "identification": row.identification, "ok": ok,
         })
-    return records, {"j_eps": eps}, {}
+    return records
 
 
-def _suite_inequality_sweep(args, cfg: dict):
-    eps = _eps(cfg, tol.J_EPS)
-    max_len = _cap(args.max_len, cfg, 5)
-    threshold = 1.0 - eps
+def _suite_inequality_sweep(eps: float, max_len: Optional[int]) -> list:
     z8 = complex(0.5, math.sqrt(3.0) / 2.0)
     groups = [("figure-eight <A, B(z)>",
                GeneratorSet(("A", "B"), (RILEY_A, riley_b(z8))))]
@@ -441,7 +424,7 @@ def _suite_inequality_sweep(args, cfg: dict):
                   for d in BIANCHI_DS)
     records = []
     for label, gens in groups:
-        rep = inequality_sweep(gens, max_len, threshold)
+        rep = inequality_sweep(gens, max_len, 1.0 - eps)
         records.append({
             "kind": "sweep", "group": label, "max_len": max_len,
             "n_elements": rep.n_elements, "n_pairs": rep.n_pairs,
@@ -449,29 +432,33 @@ def _suite_inequality_sweep(args, cfg: dict):
             "n_violations": len(rep.violations),
             "ok": not rep.violations,
         })
-    return records, {"j_eps": eps}, {"max_len": max_len}
+    return records
 
 
+# suite -> (run(eps, max_len) -> records, envelope tolerance key, its
+#           default, default word-length cap or None)
 _SUITES = {
-    "bianchi": _suite_bianchi,
-    "losid": _suite_losid,
-    "arithcomp": _suite_arithcomp,
-    "knot-table": _suite_knot_table,
-    "elliptic": _suite_elliptic,
-    "gtk-families": _suite_gtk_families,
-    "inequality-sweep": _suite_inequality_sweep,
+    "bianchi": (_suite_bianchi, "mat_eps", tol.MAT_EPS, None),
+    "losid": (_suite_losid, "mat_eps", tol.MAT_EPS, None),
+    "arithcomp": (_suite_arithcomp, "j_eps", tol.TABLE_EPS, None),
+    "knot-table": (_suite_knot_table, "j_eps", tol.TABLE_EPS, 12),
+    "elliptic": (_suite_elliptic, "j_eps", tol.ROUND_EPS, None),
+    "gtk-families": (_suite_gtk_families, "j_eps", tol.J_EPS, None),
+    "inequality-sweep": (_suite_inequality_sweep, "j_eps", tol.J_EPS, 5),
 }
 
 
 def cmd_verify(args, cfg: dict) -> dict:
+    run, key, default, cap = _SUITES[args.suite]
+    tols = {key: _eps(cfg, default)}
     inputs = {"suite": args.suite}
+    if cap is not None:
+        inputs["max_len"] = _cap(args.max_len, cfg, cap)
     try:
-        records, tols, extra = _SUITES[args.suite](args, cfg)
+        records = run(tols[key], inputs.get("max_len"))
     except SearchError as exc:
         return _envelope("verify", inputs,
-                         [{"kind": "error", "message": str(exc)}],
-                         {"j_eps": _eps(cfg, tol.J_EPS)}, "error")
-    inputs.update(extra)
+                         [{"kind": "error", "message": str(exc)}], tols, "error")
     failed = sum(1 for rec in records if rec.get("ok") is False)
     status = "ok" if failed == 0 else "violation"
     return _envelope("verify", inputs, records, tols, status)
@@ -488,8 +475,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "two-bridge knot and link representations, the "
                     "G(theta, k) families, Bianchi groups, and verification "
                     "suites over the built-in tables.",
-        epilog="JNUM_TOL in the environment overrides the 1e-9 default "
-               "tolerance for the whole library.")
+        epilog="JNUM_TOL in the environment overrides the 1e-9 comparison "
+               "tolerances CX_EPS, MAT_EPS and J_EPS for the whole library.")
     parser.add_argument("--version", action="version",
                         version=f"%(prog)s {__version__}")
 

@@ -1,7 +1,8 @@
 """SL2(C) matrices, Mobius classification, and the Jorgensen functional.
 
-Matrices are stored as SL2 lifts (determinant 1 within DET_EPS); group
-elements of PSL2(C) are compared projectively, i.e. up to overall sign.
+Matrices are stored as SL2 lifts (determinant 1 within DET_EPS, relative
+to the size of its terms a d and b c); group elements of PSL2(C) are
+compared projectively, i.e. up to overall sign.
 The Jorgensen number of an ordered pair is
 
     J(X, Y) = |tr^2 X - 4| + |tr [X, Y] - 2|,   [X, Y] = X Y X^-1 Y^-1.
@@ -19,11 +20,9 @@ from . import tolerances as tol
 INF = float("inf")  # the point at infinity on the Riemann sphere
 
 
-def cx_eq(a: complex, b: complex, eps: float | None = None) -> bool:
+def cx_eq(a: complex, b: complex) -> bool:
     """Tolerance-based scalar equality."""
-    if eps is None:
-        eps = tol.CX_EPS
-    return abs(a - b) <= eps
+    return abs(a - b) <= tol.CX_EPS
 
 
 def _finite(z: complex) -> bool:
@@ -32,7 +31,7 @@ def _finite(z: complex) -> bool:
 
 @dataclass(frozen=True)
 class Mat2:
-    """A 2x2 complex matrix with determinant 1 (within DET_EPS)."""
+    """A 2x2 complex matrix with determinant 1 (within DET_EPS, relative)."""
 
     a: complex
     b: complex
@@ -43,9 +42,11 @@ class Mat2:
         for entry in (self.a, self.b, self.c, self.d):
             if not _finite(complex(entry)):
                 raise ValueError("non-finite matrix entry")
-        det = self.a * self.d - self.b * self.c
-        if abs(det - 1.0) > tol.DET_EPS:
-            raise ValueError(f"determinant {det} is not 1 within {tol.DET_EPS}")
+        # the drift of a product grows with its terms, not with the result
+        ad, bc = self.a * self.d, self.b * self.c
+        if abs(ad - bc - 1.0) > tol.DET_EPS * max(1.0, abs(ad), abs(bc)):
+            raise ValueError(f"determinant {ad - bc} is not 1 within {tol.DET_EPS} "
+                             "relative to |a d| and |b c|")
 
     @staticmethod
     def normalized(a: complex, b: complex, c: complex, d: complex) -> "Mat2":
@@ -77,14 +78,12 @@ class Mat2:
     def entries(self) -> tuple[complex, complex, complex, complex]:
         return (self.a, self.b, self.c, self.d)
 
-    def proj_eq(self, other: "Mat2", eps: float | None = None) -> bool:
+    def proj_eq(self, other: "Mat2") -> bool:
         """Projective equality: equal up to overall sign within MAT_EPS."""
-        if eps is None:
-            eps = tol.MAT_EPS
-        return proj_dist(self, other) <= eps
+        return proj_dist(self, other) <= tol.MAT_EPS
 
-    def is_identity_proj(self, eps: float | None = None) -> bool:
-        return self.proj_eq(IDENT, eps)
+    def is_identity_proj(self) -> bool:
+        return self.proj_eq(IDENT)
 
     def power(self, n: int) -> "Mat2":
         if n < 0:

@@ -236,11 +236,16 @@ class RootSet:
     residual: float
 
 
+def _residual_bound(poly: IntPoly) -> float:
+    """ROOT_EPS (1 + max |coefficient|): the largest |poly(root)| accepted."""
+    return tol.ROOT_EPS * (1.0 + max(abs(c) for c in poly.coeffs))
+
+
 def solve_roots(poly: IntPoly) -> RootSet:
     """Durand-Kerner iteration with Newton polish and conjugate pairing.
 
     The residual max |poly(root)| is required to come out below
-    1e-9 * (1 + max |coefficient|); failure to converge raises SearchError.
+    _residual_bound(poly); failure to converge raises SearchError.
     """
     if poly.is_zero:
         raise ValueError("zero polynomial has every point as a root")
@@ -260,18 +265,18 @@ def solve_roots(poly: IntPoly) -> RootSet:
             np.fill_diagonal(diff, 1.0)
             step = pv / diff.prod(axis=1)
             z = z - step
-            if np.abs(step).max() < 1e-14 * max(1.0, np.abs(z).max()):
+            if np.abs(step).max() < tol.ROOT_STEP_EPS * max(1.0, np.abs(z).max()):
                 break
         dcoef = np.polyder(desc)
         for _ in range(3):
             dv = np.polyval(dcoef, z)
-            safe = np.abs(dv) > 1e-30
+            safe = np.abs(dv) > tol.DERIV_FLOOR
             z = np.where(safe, z - np.polyval(desc, z) / np.where(safe, dv, 1.0), z)
         zs = list(z)
         # real coefficients: snap near-real roots, average conjugate pairs
         used = [False] * len(zs)
         for i, r in enumerate(zs):
-            if abs(r.imag) <= 1e-9 * (1.0 + abs(r.real)):
+            if abs(r.imag) <= tol.ROOT_EPS * (1.0 + abs(r.real)):
                 zs[i] = complex(r.real, 0.0)
                 used[i] = True
         for i, r in enumerate(zs):
@@ -283,14 +288,14 @@ def solve_roots(poly: IntPoly) -> RootSet:
                     d = abs(zs[j] - r.conjugate())
                     if d < best_d:
                         best, best_d = j, d
-            if best >= 0 and best_d <= 1e-6 * (1.0 + abs(r)):
+            if best >= 0 and best_d <= tol.PAIR_EPS * (1.0 + abs(r)):
                 avg = (r + zs[best].conjugate()) / 2.0
                 zs[i], zs[best] = avg, avg.conjugate()
                 used[i] = used[best] = True
         roots.extend(zs)
     roots.sort(key=lambda w: (round(w.real, 12), round(w.imag, 12)))
     residual = max((abs(poly(r)) for r in roots), default=0.0)
-    bound = 1e-9 * (1.0 + max(abs(c) for c in poly.coeffs))
+    bound = _residual_bound(poly)
     if residual > bound:
         raise SearchError(
             f"root refinement stalled: residual {residual:.3e} exceeds {bound:.3e}")
@@ -315,7 +320,7 @@ def _screen_root(z: complex, sample_len: int) -> Optional[float]:
     """J value of a confirmed inequality violation for <A, B(z)>, else None."""
     gens = GeneratorSet(("A", "B"), (RILEY_A, riley_b(z)))
     for level in range(2, sample_len + 1):
-        hit = first_violation(gens, level, threshold=1.0 - 1e-6)
+        hit = first_violation(gens, level, threshold=1.0 - tol.SCREEN_SLACK)
         if hit is not None:
             return hit[0]
     return None
@@ -425,16 +430,19 @@ def _bridge_jreport(tb: TwoBridge, root_index: Optional[int],
     w = evaluate(GeneratorSet(("A", "B"), (RILEY_A, b)), Word.from_letters(
         (i % 2, e) for i, e in enumerate(tb.exponents(), start=1)))
     lhs, rhs = RILEY_A @ w, w @ (b if knot else RILEY_A)
-    scale = 1.0 + max(abs(e) for e in lhs.entries())
     dev = max(abs(u - v) for u, v in zip(lhs.entries(), rhs.entries()))
-    if dev > tol.MAT_EPS * scale:
+    # the residual of W at a computed root follows the root's error, so the
+    # bound solve_roots accepted is scaled by |z|; MAT_EPS (1 + |A W|) is a floor
+    bound = max(tol.MAT_EPS * (1.0 + max(abs(e) for e in lhs.entries())),
+                _residual_bound(choice.roots.poly) * max(1.0, abs(z)))
+    if dev > bound:
         relation = "A W = W B" if knot else "A W = W A"
         raise GeometricRootError(
             f"the defining relation {relation} fails by {dev:.3e} at the selected root",
             choice)
     jr = jorgensen_pair(RILEY_A, w if knot else b)
     want = abs(z) if knot else abs(z) ** 2
-    if abs(jr.value - want) > 1e-6 * (1.0 + want):
+    if abs(jr.value - want) > tol.J_AGREE_EPS * (1.0 + want):
         raise GeometricRootError(
             f"{'J(A, W)' if knot else 'J(A, B)'} = {jr.value} disagrees with "
             f"{'|z|' if knot else '|z|^2'} = {want}", choice)

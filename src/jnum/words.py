@@ -81,24 +81,6 @@ class Word:
             i += 1
         return Word.from_letters(pairs)
 
-    @property
-    def length(self) -> int:
-        return sum(abs(e) for _, e in self.letters)
-
-    def inverse(self) -> "Word":
-        return Word(tuple((i, -e) for i, e in reversed(self.letters)))
-
-    def __mul__(self, other: "Word") -> "Word":
-        return Word.from_letters(self.letters + other.letters)
-
-    def power(self, n: int) -> "Word":
-        if n < 0:
-            return self.inverse().power(-n)
-        w = Word(())
-        for _ in range(n):
-            w = w * self
-        return w
-
     def show(self, names) -> str:
         if not self.letters:
             return "1"
@@ -137,10 +119,12 @@ class GeneratorSet:
 def evaluate(gens: GeneratorSet, w: Word) -> Mat2:
     """Left-to-right product of generator powers."""
     m = IDENT
-    for idx, exp in w.letters:
+    for k, (idx, exp) in enumerate(w.letters):
         if not 0 <= idx < gens.arity:
             raise IndexError(f"generator index {idx} out of range")
-        m = m @ gens.mats[idx].power(exp)
+        g = gens.mats[idx]
+        letter = g if exp == 1 else g.inv() if exp == -1 else g.power(exp)
+        m = letter if k == 0 else m @ letter
     return m
 
 
@@ -181,9 +165,8 @@ def ball_levels(gens: GeneratorSet, max_len: int):
         raise ValueError("max_len capped at 16")
     syms = _symbol_array(gens)
     ns = len(syms)
-    seen = set()
     ident = np.eye(2, dtype=np.complex128)[None]
-    seen.add(_canonical_keys(ident)[0].tobytes())
+    seen = _canonical_keys(ident)  # sorted keys of every element so far
     levels = [ident]
     frontier = ident
     last = np.full(1, -1, dtype=np.int64)
@@ -195,15 +178,11 @@ def ball_levels(gens: GeneratorSet, max_len: int):
         ok = nxt != (last[:, None] ^ 1)
         cand = prods[ok]
         cand_last = nxt[ok]
-        keys = _canonical_keys(cand)
-        uniq, uidx = np.unique(keys, axis=0, return_index=True)
-        keep = []
-        for row_key, row_idx in zip(uniq, uidx):
-            kb = row_key.tobytes()
-            if kb not in seen:
-                seen.add(kb)
-                keep.append(row_idx)
-        keep.sort()
+        # first occurrences past the seen keys are the new elements
+        n_seen = len(seen)
+        seen, first = np.unique(np.concatenate((seen, _canonical_keys(cand))),
+                                axis=0, return_index=True)
+        keep = np.sort(first[first >= n_seen]) - n_seen
         frontier = cand[keep]
         last = cand_last[keep]
         levels.append(frontier)
@@ -254,40 +233,40 @@ def _primitive_min_defect(traces: np.ndarray) -> float:
     the root class, which holds for the sweeps exercised here.
     """
     t = traces.copy()
-    flip = (t.real < -1e-12) | ((np.abs(t.real) <= 1e-12) & (t.imag < 0))
+    near_zero = np.abs(t.real) <= tol.ROUND_EPS
+    flip = (t.real < -tol.ROUND_EPS) | (near_zero & (t.imag < 0))
     t[flip] *= -1
     order = np.lexsort((t.imag, t.real))
     t = t[order]
     fresh = np.empty(len(t), dtype=bool)
     fresh[0] = True
-    fresh[1:] = np.abs(np.diff(t)) > 1e-6
+    fresh[1:] = np.abs(np.diff(t)) > tol.CLASS_EPS
     reps = t[fresh]
     lam = np.arccosh(reps / 2.0)
     lam_re = np.abs(lam.real)
     lam_im = lam.imag
     defect = np.abs(reps * reps - 4.0)
     for i in np.argsort(defect):
-        candidates = lam_re <= lam_re[i] / 2.0 + 1e-9
+        candidates = lam_re <= lam_re[i] / 2.0 + tol.LENGTH_SLACK
         candidates[i] = False
         if not candidates.any():
             return float(defect[i])
         n = np.round(lam_re[i] / lam_re[candidates])
-        re_ok = np.abs(lam_re[i] - n * lam_re[candidates]) <= 1e-6 * np.maximum(n, 1.0)
+        slack = tol.CLASS_EPS * np.maximum(n, 1.0)
+        re_ok = np.abs(lam_re[i] - n * lam_re[candidates]) <= slack
         im_diff = lam_im[i] - n * lam_im[candidates]
-        im_ok = np.abs(im_diff - np.pi * np.round(im_diff / np.pi)) <= 1e-6 * np.maximum(n, 1.0)
+        im_ok = np.abs(im_diff - np.pi * np.round(im_diff / np.pi)) <= slack
         if not ((n >= 2) & re_ok & im_ok).any():
             return float(defect[i])
     raise SearchError("every loxodromic class resolved as a power")  # unreachable
 
 
-def min_loxodromic_defect(gens: GeneratorSet, max_len: int,
-                          include_powers: bool = False) -> float:
+def min_loxodromic_defect(gens: GeneratorSet, max_len: int) -> float:
     """Minimum |tr^2 X - 4| over loxodromic-or-hyperbolic ball elements.
 
-    By default proper powers of shorter classes are excluded, so the result
-    is the defect of the shortest-geodesic (primitive) classes in the ball
-    and an upper bound for the group's primitive defect infimum. With
-    include_powers=True the minimum runs over every loxodromic element.
+    Proper powers of shorter classes are excluded, so the result is the
+    defect of the shortest-geodesic (primitive) classes in the ball and an
+    upper bound for the group's primitive defect infimum.
     """
     mats = _ball_elements(gens, max_len)
     if len(mats) == 0:
@@ -296,8 +275,6 @@ def min_loxodromic_defect(gens: GeneratorSet, max_len: int,
     lox = traces[_loxodromic_mask(traces)]
     if len(lox) == 0:
         raise SearchError("no loxodromic element in the ball")
-    if include_powers:
-        return float(np.abs(lox * lox - 4.0).min())
     return _primitive_min_defect(lox)
 
 
@@ -337,7 +314,7 @@ def _violations(mats: np.ndarray, threshold: float):
     n_candidates = 0
     low = []
     for start, jval, comm in _pair_stats_blocks(mats):
-        mask = np.abs(comm - 2.0) > 1e-8
+        mask = np.abs(comm - 2.0) > tol.COMM_EPS
         n_candidates += int(np.count_nonzero(mask))
         # named, so it is freed only with the next block: freeing it at once
         # raised the sweep's peak RSS by 5 MB (allocator placement)

@@ -276,14 +276,15 @@ def test_sample_len_passthrough():
 
 
 def test_refusal_carries_the_screen():
-    # 25/23 has an odd q but its chosen root misses A W = W B by more than
-    # MAT_EPS: the refusal keeps the solved roots and the screen's verdicts
+    # 27/16 has an even q and its chosen root misses A W = W B by far more
+    # than the root's error: the refusal keeps the solved roots and the
+    # screen's verdicts
     with pytest.raises(GeometricRootError) as exc:
-        knot_jreport(25, 23)
+        knot_jreport(27, 16)
     choice = exc.value.choice
-    assert choice.index == 11 and choice.screened
-    assert len(choice.roots.roots) == 12
-    assert len(choice.rejected) == 5
+    assert choice.index == 10 and choice.screened
+    assert len(choice.roots.roots) == 13
+    assert len(choice.rejected) == 4
 
 
 def test_report_carries_its_choice():
