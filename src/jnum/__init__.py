@@ -13,16 +13,11 @@ from .arith import (
     ConditionReport,
     EllipticCandidate,
     QuadImagField,
-    delta_discriminant,
     elliptic_j_value,
     elliptic_type_check,
-    hilbert_real_ramified,
     invariant_trace_field_generators,
-    is_algebraic_unit,
     recognize_invariant_field,
     recognize_quad_imaginary,
-    trace_field_generators,
-    unit_multiple_check,
 )
 from .catalog import (
     BIANCHI_DS,
@@ -43,7 +38,6 @@ from .catalog import (
     gtk_generators,
     knot_table,
     losid_identity_suite,
-    sigma_lambda_generators,
     unit_j_pairs,
     verify_relations,
 )
@@ -114,17 +108,14 @@ __all__ = [
     "solve_roots", "subset_oracle_poly", "word_matrix",
     # arithmetic invariants
     "ELLIPTIC_ORDERS", "ConditionReport", "EllipticCandidate",
-    "QuadImagField", "delta_discriminant", "elliptic_j_value",
-    "elliptic_type_check", "hilbert_real_ramified",
-    "invariant_trace_field_generators", "is_algebraic_unit",
-    "recognize_invariant_field", "recognize_quad_imaginary",
-    "trace_field_generators", "unit_multiple_check",
+    "QuadImagField", "elliptic_j_value", "elliptic_type_check",
+    "invariant_trace_field_generators", "recognize_invariant_field",
+    "recognize_quad_imaginary",
     # catalog
     "BIANCHI_DS", "CatalogEntry", "FamilyMatch", "GtkFamilyRow",
     "GtkParams", "IdentityCheck", "KnotTableRow", "RelationReport",
     "arithcomp_table", "bianchi_alpha", "bianchi_generators",
     "bianchi_relations", "family_match", "geodesic_defect_bound",
     "gtk_families", "gtk_generators", "knot_table",
-    "losid_identity_suite", "sigma_lambda_generators", "unit_j_pairs",
-    "verify_relations",
+    "losid_identity_suite", "unit_j_pairs", "verify_relations",
 ]

@@ -1,4 +1,4 @@
-"""Arithmetic invariants: trace fields, units, and the elliptic-order screen.
+"""Arithmetic invariants: invariant trace fields and the elliptic-order screen.
 
 The groups of interest have invariant trace field an imaginary quadratic
 field Q(sqrt(-d)). Field membership of a floating-point value is decided
@@ -14,7 +14,6 @@ are supplied by the caller and tracked as pass / fail / unchecked.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -59,19 +58,6 @@ class QuadImagField:
             raise ValueError(f"d = {self.d} is not squarefree")
 
     @property
-    def discriminant(self) -> int:
-        return -self.d if self.d % 4 == 3 else -4 * self.d
-
-    @property
-    def units(self) -> tuple:
-        """Units of the ring of integers: 4th roots for d=1, 6th for d=3, else +-1."""
-        if self.d == 1:
-            return (1 + 0j, 1j, -1 + 0j, -1j)
-        if self.d == 3:
-            return tuple(cmath.exp(1j * math.pi * k / 3.0) for k in range(6))
-        return (1 + 0j, -1 + 0j)
-
-    @property
     def name(self) -> str:
         return f"Q(sqrt(-{self.d}))"
 
@@ -102,11 +88,6 @@ def recognize_quad_imaginary(x: complex) -> Optional[QuadImagField]:
     return QuadImagField(_squarefree_part(disc))
 
 
-def trace_field_generators(x: Mat2, y: Mat2) -> list:
-    """Field generators of the trace field: [tr x, tr y, tr xy]."""
-    return [x.trace, y.trace, (x @ y).trace]
-
-
 def invariant_trace_field_generators(x: Mat2, y: Mat2) -> list:
     """Field generators of the invariant trace field (traces of squares).
 
@@ -132,45 +113,6 @@ def recognize_invariant_field(x: Mat2, y: Mat2) -> Optional[QuadImagField]:
         if f is not None:
             return f
     return None
-
-
-def is_algebraic_unit(x: complex, field_: QuadImagField) -> bool:
-    """Whether x equals a unit of the ring of integers of the field."""
-    return any(abs(complex(x) - u) <= tol.CX_EPS for u in field_.units)
-
-
-def unit_multiple_check(value: complex, base: complex,
-                        field_: QuadImagField) -> Optional[complex]:
-    """The unit u with value = u * base, if one exists; None otherwise."""
-    if abs(base) <= tol.CX_EPS:
-        raise ValueError("base is too close to zero to divide by")
-    ratio = complex(value) / complex(base)
-    for u in field_.units:
-        if abs(ratio - u) <= tol.CX_EPS * (1.0 + abs(ratio)):
-            return u
-    return None
-
-
-def delta_discriminant(x: Mat2, y: Mat2) -> complex:
-    """(tr^2 x)(tr^2 y)[(tr^2 x - 4)(tr^2 y - 4) + 4(tr [x, y] - 2)].
-
-    A commensurability invariant of the pair: up to squares it is the
-    second Hilbert symbol entry of the associated quaternion algebra.
-    """
-    tx2 = x.trace ** 2
-    ty2 = y.trace ** 2
-    tk = commutator(x, y).trace
-    return tx2 * ty2 * ((tx2 - 4.0) * (ty2 - 4.0) + 4.0 * (tk - 2.0))
-
-
-def hilbert_real_ramified(pairs) -> bool:
-    """Whether the Hilbert symbol (a, b) ramifies at every given real place.
-
-    Each pair holds the images of (a, b) under one real embedding; the
-    symbol ramifies there iff both are negative. An empty list is vacuously
-    True (imaginary quadratic fields have no real places).
-    """
-    return all(a < 0 and b < 0 for a, b in pairs)
 
 
 @dataclass(frozen=True)
@@ -223,13 +165,7 @@ PASS, FAIL, UNCHECKED = "pass", "fail", "unchecked"
 class ConditionReport:
     """Six-condition verdict of the elliptic screen."""
 
-    candidate: EllipticCandidate
     statuses: tuple
-    notes: tuple
-
-    @property
-    def ok(self) -> bool:
-        return FAIL not in self.statuses
 
     @property
     def failed(self) -> tuple:
@@ -254,49 +190,30 @@ def elliptic_type_check(cand: EllipticCandidate) -> ConditionReport:
     (for 5 the tau-free sign of b1 is still screened).
     """
     statuses = [UNCHECKED] * 6
-    notes = [""] * 6
-
     statuses[0] = PASS if cand.n in ELLIPTIC_ORDERS else FAIL
-    notes[0] = f"n = {cand.n}, admissible orders {ELLIPTIC_ORDERS}"
-
     bound = 2.0 / (1.0 - math.cos(2.0 * math.pi / cand.n))
     statuses[1] = PASS if cand.tr2B > bound else FAIL
-    notes[1] = f"tr^2 B = {cand.tr2B:.9g}, bound {bound:.9g}"
-
     statuses[2] = PASS if cand.trAB_integral else FAIL
-    notes[2] = "integrality of tr(AB) supplied by caller"
 
     places = cand.conjugate_places()
     if places:
-        bad4 = []
-        bad5 = []
+        bad4 = bad5 = False
         for k, tau in places:
             ck = math.cos(2.0 * math.pi * k / cand.n)
             if not (-1.0 < ck < 0.5 and 0.0 < tau < 2.0 / (1.0 - ck)):
-                bad4.append(k)
+                bad4 = True
             b1 = 2.0 * ck - 1.0
             b2 = 2.0 * (math.cos(4.0 * math.pi * k / cand.n) + ck) * tau
             if not (b1 < 0.0 and b2 < 0.0):
-                bad5.append(k)
+                bad5 = True
         statuses[3] = FAIL if bad4 else PASS
-        notes[3] = f"violating places {bad4}" if bad4 else f"{len(places)} places checked"
         statuses[4] = FAIL if bad5 else PASS
-        notes[4] = (f"non-negative symbol entry at places {bad5}" if bad5
-                    else "a = -1, b1 < 0, b2 < 0 at every real place")
-    else:
-        notes[3] = "no conjugates supplied"
-        bad_b1 = [k for k in cand.embedding_labels()
-                  if 2.0 * math.cos(2.0 * math.pi * k / cand.n) - 1.0 >= 0.0]
-        if bad_b1:
-            statuses[4] = FAIL
-            notes[4] = f"b1 >= 0 at places {bad_b1}"
-        else:
-            notes[4] = "b1 < 0 at every place; b2 needs conjugates"
+    elif any(2.0 * math.cos(2.0 * math.pi * k / cand.n) - 1.0 >= 0.0
+             for k in cand.embedding_labels()):
+        statuses[4] = FAIL
 
     statuses[5] = PASS if cand.trB_integral else FAIL
-    notes[5] = "integrality of tr(B) supplied by caller"
-
-    return ConditionReport(cand, tuple(statuses), tuple(notes))
+    return ConditionReport(tuple(statuses))
 
 
 def elliptic_j_value(n: int) -> float:

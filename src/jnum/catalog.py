@@ -7,8 +7,6 @@ typed records and provides the generator constructions:
   * gtk_generators: the pair A = [[1,1],[0,1]],
     B = [[0, -i e^{-i theta}], [-i e^{i theta}, 2 k e^{i theta}]],
     for which tr [A, B] - 2 = -e^{2 i theta}, so J(A, B) = 1 identically;
-  * sigma_lambda_generators: B = [[0, -1/sigma], [sigma, lambda]], for
-    which tr [A, B] - 2 = sigma^2;
   * bianchi_generators / bianchi_relations: A, S = [[0,-1],[1,0]],
     T = [[1, alpha],[0,1]] generating PSL2(O_d) for d in {1,2,3,7,11},
     with a finite presentation in those generators;
@@ -60,8 +58,8 @@ class GtkParams:
     def __post_init__(self):
         if self.theta_den <= 0 or self.theta_num <= 0:
             raise ValueError("theta must be a positive rational multiple of pi")
-        if self.k <= 0:
-            raise ValueError("k must be positive")
+        if not (math.isfinite(self.k) and self.k > 0):
+            raise ValueError("k must be a finite positive number")
 
     @property
     def theta(self) -> float:
@@ -72,14 +70,6 @@ def gtk_generators(params: GtkParams) -> GeneratorSet:
     """The pair (A, B(theta, k)); J(A, B) = 1 for every theta and k."""
     e_i = cmath.exp(1j * params.theta)
     b = Mat2(0.0, -1j / e_i, -1j * e_i, 2.0 * params.k * e_i)
-    return GeneratorSet(("A", "B"), (Mat2(1.0, 1.0, 0.0, 1.0), b))
-
-
-def sigma_lambda_generators(sigma: complex, lam: complex) -> GeneratorSet:
-    """The pair (A, [[0, -1/sigma], [sigma, lam]]); tr [A, B] - 2 = sigma^2."""
-    if abs(sigma) == 0:
-        raise ValueError("sigma must be nonzero")
-    b = Mat2(0.0, -1.0 / sigma, sigma, lam)
     return GeneratorSet(("A", "B"), (Mat2(1.0, 1.0, 0.0, 1.0), b))
 
 

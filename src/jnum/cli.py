@@ -38,7 +38,7 @@ from .catalog import (BIANCHI_DS, arithcomp_table, bianchi_alpha,
                       verify_relations)
 from .linalg import Mat2, jorgensen_pair, proj_dist
 from .riley import RILEY_A, knot_jreport, link_jreport, normalize, riley_b
-from .words import (GeneratorSet, SearchError, inequality_sweep,
+from .words import (MAX_BALL_LEN, GeneratorSet, SearchError, inequality_sweep,
                     min_loxodromic_defect)
 
 
@@ -134,6 +134,8 @@ def _load_config(path: Optional[str]) -> dict:
     if "max_len" in cfg:
         if not isinstance(cfg["max_len"], int) or cfg["max_len"] < 1:
             raise UsageError("config max_len must be a positive integer")
+        if cfg["max_len"] > MAX_BALL_LEN:
+            raise UsageError(f"config max_len must be at most {MAX_BALL_LEN}")
     return cfg
 
 
@@ -145,6 +147,8 @@ def _cap(flag_value: Optional[int], cfg: dict, default: int) -> int:
     if flag_value is not None:
         if flag_value < 1:
             raise UsageError("--max-len must be a positive integer")
+        if flag_value > MAX_BALL_LEN:
+            raise UsageError(f"--max-len must be at most {MAX_BALL_LEN}")
         return flag_value
     return int(cfg.get("max_len", default))
 
@@ -175,8 +179,9 @@ def _root_records(choice) -> list:
     return records
 
 
-def _bridge_command(args, cfg: dict, is_knot_cmd: bool) -> dict:
-    command = "knot" if is_knot_cmd else "link"
+def _bridge_command(args, cfg: dict) -> dict:
+    command = args.command
+    is_knot_cmd = command == "knot"
     p, q = _fraction_pair(args.fraction, "the two-bridge fraction")
     sample_len = _cap(args.max_len, cfg, 6)
     try:
@@ -226,14 +231,6 @@ def _bridge_command(args, cfg: dict, is_knot_cmd: bool) -> dict:
     return _envelope(command, inputs, records, tols, "ok")
 
 
-def cmd_knot(args, cfg: dict) -> dict:
-    return _bridge_command(args, cfg, True)
-
-
-def cmd_link(args, cfg: dict) -> dict:
-    return _bridge_command(args, cfg, False)
-
-
 # ---------------------------------------------------------------------------
 # bianchi / gtk
 
@@ -270,9 +267,9 @@ def cmd_gtk(args, cfg: dict) -> dict:
     num, den = _fraction_pair(args.theta, "theta")
     try:
         params = GtkParams(num, den, args.k)
+        gens = gtk_generators(params)
     except ValueError as exc:
         raise UsageError(str(exc))
-    gens = gtk_generators(params)
     a, b = gens.mats
     jr = jorgensen_pair(a, b)
     field = recognize_invariant_field(a, b)
@@ -493,26 +490,18 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True,
                                 metavar="COMMAND")
 
-    k = sub.add_parser("knot", parents=[common],
-                       help="two-bridge knot report: polynomial, roots, "
-                            "J, waist bound")
-    k.add_argument("fraction", metavar="P/Q",
-                   help="two-bridge fraction, odd P coprime to Q")
-    k.add_argument("--root-index", type=int, default=None, metavar="N",
-                   help="bypass the geometric screen and take root N")
-    k.add_argument("--max-len", type=int, default=None, metavar="L",
-                   help="screening word length (default 6)")
-    k.set_defaults(func=cmd_knot)
-
-    li = sub.add_parser("link", parents=[common],
-                        help="two-bridge link report (even P)")
-    li.add_argument("fraction", metavar="P/Q",
-                    help="two-bridge fraction, even P coprime to Q")
-    li.add_argument("--root-index", type=int, default=None, metavar="N",
-                    help="bypass the geometric screen and take root N")
-    li.add_argument("--max-len", type=int, default=None, metavar="L",
-                    help="screening word length (default 6)")
-    li.set_defaults(func=cmd_link)
+    for name, about, parity in (
+            ("knot", "two-bridge knot report: polynomial, roots, J, waist bound",
+             "odd"),
+            ("link", "two-bridge link report (even P)", "even")):
+        br = sub.add_parser(name, parents=[common], help=about)
+        br.add_argument("fraction", metavar="P/Q",
+                        help=f"two-bridge fraction, {parity} P coprime to Q")
+        br.add_argument("--root-index", type=int, default=None, metavar="N",
+                        help="bypass the geometric screen and take root N")
+        br.add_argument("--max-len", type=int, default=None, metavar="L",
+                        help="screening word length (default 6)")
+        br.set_defaults(func=_bridge_command)
 
     bi = sub.add_parser("bianchi", parents=[common],
                         help="Bianchi group generators, optionally checking "

@@ -48,32 +48,19 @@ class Mat2:
             raise ValueError(f"determinant {ad - bc} is not 1 within {tol.DET_EPS} "
                              "relative to |a d| and |b c|")
 
-    @staticmethod
-    def normalized(a: complex, b: complex, c: complex, d: complex) -> "Mat2":
-        """Scale a nonsingular matrix into SL2 by a square root of its determinant."""
-        det = a * d - b * c
-        if abs(det) <= tol.CX_EPS:
-            raise ValueError("matrix is singular, cannot normalize into SL2")
-        s = cmath.sqrt(det)
-        return Mat2(a / s, b / s, c / s, d / s)
-
     @property
     def trace(self) -> complex:
         return self.a + self.d
 
-    @property
-    def det(self) -> complex:
-        return self.a * self.d - self.b * self.c
-
     def __matmul__(self, other: "Mat2") -> "Mat2":
-        return mat_mul(self, other)
+        return Mat2(self.a * other.a + self.b * other.c,
+                    self.a * other.b + self.b * other.d,
+                    self.c * other.a + self.d * other.c,
+                    self.c * other.b + self.d * other.d)
 
     def inv(self) -> "Mat2":
         # adjugate; exact inverse for determinant-1 matrices
         return Mat2(self.d, -self.b, -self.c, self.a)
-
-    def neg(self) -> "Mat2":
-        return Mat2(-self.a, -self.b, -self.c, -self.d)
 
     def entries(self) -> tuple[complex, complex, complex, complex]:
         return (self.a, self.b, self.c, self.d)
@@ -102,14 +89,6 @@ class Mat2:
 IDENT = Mat2(1.0, 0.0, 0.0, 1.0)
 
 
-def mat_mul(x: Mat2, y: Mat2) -> Mat2:
-    a = x.a * y.a + x.b * y.c
-    b = x.a * y.b + x.b * y.d
-    c = x.c * y.a + x.d * y.c
-    d = x.c * y.b + x.d * y.d
-    return Mat2(a, b, c, d)
-
-
 def proj_dist(x: Mat2, y: Mat2) -> float:
     """min(|x - y|_inf, |x + y|_inf) -- the projective distance used for equality."""
     minus = max(abs(p - q) for p, q in zip(x.entries(), y.entries()))
@@ -132,7 +111,6 @@ class JReport:
 
     value: float
     pair: tuple[Mat2, Mat2]
-    kinds: tuple[MobiusClass, MobiusClass]
     commutator_trace: complex
 
 
@@ -168,11 +146,10 @@ def commutator(x: Mat2, y: Mat2) -> Mat2:
 
 
 def jorgensen_pair(x: Mat2, y: Mat2) -> JReport:
-    """J(X, Y) = |tr^2 X - 4| + |tr [X, Y] - 2| with classification of both inputs."""
+    """J(X, Y) = |tr^2 X - 4| + |tr [X, Y] - 2|."""
     tx = x.trace
     tk = commutator(x, y).trace
-    value = abs(tx * tx - 4.0) + abs(tk - 2.0)
-    return JReport(value, (x, y), (classify(x), classify(y)), tk)
+    return JReport(abs(tx * tx - 4.0) + abs(tk - 2.0), (x, y), tk)
 
 
 def fixed_points(m: Mat2) -> set:

@@ -21,6 +21,8 @@ import numpy as np
 from . import tolerances as tol
 from .linalg import IDENT, Mat2, is_nonelementary
 
+MAX_BALL_LEN = 16  # the longest word length a ball is built to
+
 
 class SearchError(RuntimeError):
     """An enumeration finished without finding what it was asked for."""
@@ -104,10 +106,6 @@ class GeneratorSet:
             if not isinstance(m, Mat2):
                 raise TypeError("generators must be Mat2")
 
-    @staticmethod
-    def of(**named_mats) -> "GeneratorSet":
-        return GeneratorSet(tuple(named_mats.keys()), tuple(named_mats.values()))
-
     @property
     def arity(self) -> int:
         return len(self.mats)
@@ -161,8 +159,8 @@ def ball_levels(gens: GeneratorSet, max_len: int):
     all levels, so each group element appears once, at its word-length radius
     (up to grid collisions at the 1e-6 quantization).
     """
-    if max_len > 16:
-        raise ValueError("max_len capped at 16")
+    if max_len > MAX_BALL_LEN:
+        raise ValueError(f"max_len capped at {MAX_BALL_LEN}")
     syms = _symbol_array(gens)
     ns = len(syms)
     ident = np.eye(2, dtype=np.complex128)[None]

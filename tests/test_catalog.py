@@ -22,11 +22,10 @@ from jnum.catalog import (
     gtk_generators,
     knot_table,
     losid_identity_suite,
-    sigma_lambda_generators,
     unit_j_pairs,
     verify_relations,
 )
-from jnum.linalg import commutator, jorgensen_pair, proj_dist
+from jnum.linalg import jorgensen_pair, proj_dist
 from jnum.words import Word
 
 RT3 = math.sqrt(3.0)
@@ -79,14 +78,6 @@ def test_gtk_theta_plus_pi_gives_the_same_group():
     b1 = gtk_generators(GtkParams(1, 6, 0.7)).mats[1]
     b2 = gtk_generators(GtkParams(7, 6, 0.7)).mats[1]
     assert proj_dist(b1, b2) <= 1e-12
-
-
-def test_sigma_lambda_commutator_trace():
-    sigma = 1 + 1j
-    gens = sigma_lambda_generators(sigma, 0.3)
-    assert abs(commutator(*gens.mats).trace - 2 - sigma ** 2) <= 1e-12
-    with pytest.raises(ValueError):
-        sigma_lambda_generators(0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------

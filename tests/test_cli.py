@@ -244,8 +244,11 @@ def test_gtk_unlisted(capsys):
 
 
 def test_gtk_rejects_bad_k(capsys):
-    assert main(["gtk", "1/2", "-1.0"]) == 2
-    capsys.readouterr()
+    # 1e308 is finite, but 2 k e^(i theta) overflows
+    for k in ("-1.0", "nan", "inf", "1e308"):
+        assert main(["gtk", "1/2", k]) == 2, k
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 # ---------------------------------------------------------------------------
@@ -342,12 +345,24 @@ def test_config_tol_reaches_tolerances(capsys, tmp_path):
     json.dumps({"tol": 0}),
     json.dumps({"max_len": 0}),
     json.dumps({"unknown": 1}),
+    json.dumps({"max_len": 17}),
 ])
 def test_config_rejects_bad_files(capsys, tmp_path, payload):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(payload)
     assert main(["knot", "7/3", "--config", str(cfg)]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "inequality-sweep", "--max-len", "17"],
+    ["verify", "knot-table", "--max-len", "17"],
+    ["knot", "7/3", "--max-len", "17"],
+])
+def test_max_len_above_the_ball_cap_is_a_usage_error(capsys, argv):
+    # refused before any ball is built, not after the screen reaches 17
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: --max-len must be at most 16\n"
 
 
 def test_config_missing_file(capsys):

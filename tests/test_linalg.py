@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from jnum.linalg import (IDENT, INF, Mat2, classify, commutator, cx_eq,
+from jnum.linalg import (IDENT, INF, Mat2, classify, commutator,
                          fixed_points, is_nonelementary, jorgensen_pair,
                          proj_dist)
 
@@ -25,13 +25,6 @@ def test_determinant_is_validated():
         Mat2(float("nan"), 0, 0, 1)
 
 
-def test_normalized_rescales_into_sl2():
-    m = Mat2.normalized(2, 0, 0, 2)
-    assert cx_eq(m.a, 1.0) and cx_eq(m.d, 1.0)
-    with pytest.raises(ValueError):
-        Mat2.normalized(1, 1, 1, 1)
-
-
 def test_inverse_and_power():
     m = Mat2(2, 1, 1, 1)
     assert (m @ m.inv()).is_identity_proj()
@@ -42,7 +35,7 @@ def test_inverse_and_power():
 
 def test_proj_eq_ignores_sign():
     m = Mat2(2, 1, 1, 1)
-    neg = m.neg()
+    neg = Mat2(-2, -1, -1, -1)
     assert m.proj_eq(neg)
     assert proj_dist(m, neg) == 0.0
     assert not m.proj_eq(A)
@@ -52,7 +45,7 @@ def test_proj_eq_ignores_sign():
 
 def test_classify_identity_and_parabolic():
     assert classify(IDENT).kind == "identity"
-    assert classify(IDENT.neg()).kind == "identity"
+    assert classify(Mat2(-1, 0, 0, -1)).kind == "identity"
     assert classify(A).kind == "parabolic"
     assert classify(lower(0.3 + 0.4j)).kind == "parabolic"
 
@@ -101,7 +94,6 @@ def test_jorgensen_figure_eight_value():
     b = lower(0.5 + 0.8660254037844386j)
     rep = jorgensen_pair(A, b)
     assert abs(rep.value - 1.0) <= 1e-12
-    assert rep.kinds[0].kind == "parabolic"
     assert abs(rep.commutator_trace - (2.0 + (0.5 + 0.8660254037844386j) ** 2)) <= 1e-12
 
 
@@ -116,7 +108,7 @@ def _sl2(a, b, c):
     # deterministic SL2 lift from three free complex parameters; stay away
     # from the 1 + a = 0 singularity so entries remain well conditioned
     assume(abs(1 + a) >= 0.1)
-    m = Mat2.normalized(1 + a, b, c, 1 + (b * c - a) / (1 + a))
+    m = Mat2(1 + a, b, c, 1 + (b * c - a) / (1 + a))
     assume(max(abs(e) for e in m.entries()) <= 50.0)
     return m
 

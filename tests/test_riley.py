@@ -5,6 +5,7 @@ import math
 import pytest
 
 from jnum.intpoly import IntPoly
+from jnum.linalg import classify
 from jnum.riley import (
     RILEY_A,
     GeometricRootError,
@@ -227,8 +228,7 @@ def test_knot_report_figure_eight():
     assert rep.waist == pytest.approx(1.0, abs=1e-12)
     assert rep.poly == knot_poly(5, 3)
     assert not rep.ambiguous
-    kinds = [k.kind for k in rep.pair.kinds]
-    assert kinds == ["parabolic", "loxodromic"]
+    assert [classify(m).kind for m in rep.pair.pair] == ["parabolic", "loxodromic"]
 
 
 def test_knot_report_52_is_the_plastic_number():
