@@ -41,10 +41,6 @@ def _squarefree_part(n: int) -> int:
     return res * n
 
 
-def _totient(n: int) -> int:
-    return sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1)
-
-
 @dataclass(frozen=True)
 class QuadImagField:
     """The imaginary quadratic field Q(sqrt(-d)), d squarefree positive."""
@@ -120,10 +116,10 @@ class EllipticCandidate:
     """Input data for the elliptic-order screen.
 
     tr2B is tr^2 B (real for B elliptic); tr2B_conjugates are its Galois
-    conjugates other than itself, either all phi(n) - 2 of them, or one
-    per conjugate real place (phi(n)/2 - 1), or empty when unknown. The
-    two flags assert algebraic integrality of tr(AB) and tr(B), which
-    cannot be decided from floats.
+    conjugates at the other real places, one per place (phi(n)/2 - 1, in
+    the order of embedding_labels), or empty when unknown. The two flags
+    assert algebraic integrality of tr(AB) and tr(B), which cannot be
+    decided from floats.
     """
 
     n: int
@@ -135,22 +131,15 @@ class EllipticCandidate:
     def __post_init__(self):
         if self.n < 3:
             raise ValueError("elliptic order must be at least 3")
-        phi = _totient(self.n)
-        allowed = {0, phi - 2, phi // 2 - 1}
-        if len(self.tr2B_conjugates) not in allowed:
+        places = len(self.embedding_labels())
+        if len(self.tr2B_conjugates) not in (0, places):
             raise ValueError(
-                f"need 0, {phi // 2 - 1}, or {phi - 2} conjugates for n = {self.n}, "
+                f"need 0 or {places} conjugates for n = {self.n}, "
                 f"got {len(self.tr2B_conjugates)}")
 
     def conjugate_places(self) -> tuple:
         """(k, tau) pairs: the embedding label k in [2, n/2] and the conjugate."""
-        if not self.tr2B_conjugates:
-            return ()
-        half = [k for k in range(2, self.n // 2 + 1) if math.gcd(k, self.n) == 1]
-        if len(self.tr2B_conjugates) == len(half):
-            return tuple(zip(half, self.tr2B_conjugates))
-        full = [k for k in range(2, self.n - 1) if math.gcd(k, self.n) == 1]
-        return tuple(zip(full, self.tr2B_conjugates))
+        return tuple(zip(self.embedding_labels(), self.tr2B_conjugates))
 
     def embedding_labels(self) -> tuple:
         """All conjugate-place labels k, available with or without conjugates."""

@@ -37,7 +37,8 @@ from .catalog import (BIANCHI_DS, arithcomp_table, bianchi_alpha,
                       GtkParams, knot_table, losid_identity_suite,
                       verify_relations)
 from .linalg import Mat2, jorgensen_pair, proj_dist
-from .riley import RILEY_A, knot_jreport, link_jreport, normalize, riley_b
+from .riley import (RILEY_A, SCREEN_LEN, knot_jreport, link_jreport,
+                    normalize, riley_b)
 from .words import (MAX_BALL_LEN, GeneratorSet, SearchError, inequality_sweep,
                     min_loxodromic_defect)
 
@@ -158,32 +159,17 @@ def _cap(flag_value: Optional[int], cfg: dict, default: int) -> int:
 
 
 def _root_records(choice) -> list:
-    by_value = {complex(r): j for r, j in choice.rejected}
-    records = []
-    for i, raw in enumerate(choice.roots.roots):
-        r = complex(raw)
-        if abs(r.imag) <= tol.CX_EPS:
-            status = "real"
-        elif r.imag < 0.0:
-            status = "conjugate"
-        elif not choice.screened:
-            status = "unscreened"
-        elif r in by_value:
-            status = "rejected"
-        else:
-            status = "survivor"
-        records.append({"kind": "root", "index": i,
-                        "z_re": r.real, "z_im": r.imag, "status": status,
-                        "screen_j": by_value.get(r),
-                        "selected": i == choice.index})
-    return records
+    return [{"kind": "root", "index": i, "z_re": float(r.real), "z_im": float(r.imag),
+             "status": status, "screen_j": j, "selected": i == choice.index}
+            for i, (r, status, j) in enumerate(
+                zip(choice.roots.roots, choice.statuses, choice.screen_j))]
 
 
 def _bridge_command(args, cfg: dict) -> dict:
     command = args.command
     is_knot_cmd = command == "knot"
     p, q = _fraction_pair(args.fraction, "the two-bridge fraction")
-    sample_len = _cap(args.max_len, cfg, 6)
+    sample_len = _cap(args.max_len, cfg, SCREEN_LEN)
     try:
         tb = normalize(p, q)
     except ValueError as exc:
@@ -207,7 +193,7 @@ def _bridge_command(args, cfg: dict) -> dict:
         records.append({
             "kind": "error", "message": str(exc),
             "non_hyperbolic": choice is not None and all(
-                abs(r.imag) <= tol.CX_EPS for r in choice.roots.roots),
+                s == "real" for s in choice.statuses),
         })
         return _envelope(command, inputs, records, tols, "error")
     choice = rep.choice
@@ -271,8 +257,17 @@ def cmd_gtk(args, cfg: dict) -> dict:
     except ValueError as exc:
         raise UsageError(str(exc))
     a, b = gens.mats
-    jr = jorgensen_pair(a, b)
-    field = recognize_invariant_field(a, b)
+    records = [_mat_record("generator", name, m)
+               for name, m in zip(gens.names, gens.mats)]
+    inputs = {"theta_num": num, "theta_den": den, "k": args.k}
+    tols = {"cx_eps": tol.CX_EPS, "j_eps": tol.J_EPS}
+    try:
+        jr = jorgensen_pair(a, b)
+        field = recognize_invariant_field(a, b)
+    except ValueError as exc:
+        # a product of generators with huge entries loses its determinant
+        records.append({"kind": "error", "message": str(exc)})
+        return _envelope("gtk", inputs, records, tols, "error")
     match = family_match(params)
     if match is None:
         note = "not a listed family"
@@ -280,8 +275,6 @@ def cmd_gtk(args, cfg: dict) -> dict:
         note = "listed family, arithmetic"
     else:
         note = "listed family, not arithmetic"
-    records = [_mat_record("generator", name, m)
-               for name, m in zip(gens.names, gens.mats)]
     records.append({
         "kind": "report", "theta_num": num, "theta_den": den, "k": args.k,
         "jorgensen": jr.value,
@@ -295,8 +288,6 @@ def cmd_gtk(args, cfg: dict) -> dict:
         "identification": None if match is None else match.identification,
         "note": note,
     })
-    inputs = {"theta_num": num, "theta_den": den, "k": args.k}
-    tols = {"cx_eps": tol.CX_EPS, "j_eps": tol.J_EPS}
     return _envelope("gtk", inputs, records, tols, "ok")
 
 
@@ -345,11 +336,7 @@ def _suite_knot_table(eps: float, max_len: Optional[int]) -> list:
         z_dev = min(abs(rep.z - row.z), abs(rep.z - row.z.conjugate()))
         j_dev = abs(rep.jorgensen - row.jorgensen)
         gens = GeneratorSet(("A", "B"), (RILEY_A, riley_b(rep.z)))
-        used_len = max_len
-        alpha = min_loxodromic_defect(gens, used_len)
-        if abs(alpha - row.alpha) > eps:
-            used_len = max_len + 2
-            alpha = min_loxodromic_defect(gens, used_len)
+        alpha = min_loxodromic_defect(gens, max_len)
         alpha_dev = abs(alpha - row.alpha)
         ok = (divides and z_dev <= eps and j_dev <= eps
               and alpha_dev <= eps
@@ -360,7 +347,7 @@ def _suite_knot_table(eps: float, max_len: Optional[int]) -> list:
             "minpoly_divides": divides,
             "z_re": rep.z.real, "z_im": rep.z.imag, "z_dev": z_dev,
             "jorgensen": rep.jorgensen, "j_dev": j_dev,
-            "alpha": alpha, "alpha_dev": alpha_dev, "max_len": used_len,
+            "alpha": alpha, "alpha_dev": alpha_dev, "max_len": max_len,
             "unit_constant": abs(computed.coeffs[0]) == 1,
             "unit_leading": abs(computed.coeffs[-1]) == 1,
             "ok": ok,
@@ -500,7 +487,7 @@ def build_parser() -> argparse.ArgumentParser:
         br.add_argument("--root-index", type=int, default=None, metavar="N",
                         help="bypass the geometric screen and take root N")
         br.add_argument("--max-len", type=int, default=None, metavar="L",
-                        help="screening word length (default 6)")
+                        help=f"screening word length (default {SCREEN_LEN})")
         br.set_defaults(func=_bridge_command)
 
     bi = sub.add_parser("bianchi", parents=[common],
@@ -527,8 +514,9 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("suite", choices=sorted(_SUITES),
                    help="which suite to run")
     v.add_argument("--max-len", type=int, default=None, metavar="L",
-                   help="word-length cap for knot-table (default 12) and "
-                        "inequality-sweep (default 5)")
+                   help="word-length cap for " + " and ".join(
+                       f"{name} (default {cap})"
+                       for name, (*_, cap) in _SUITES.items() if cap is not None))
     v.set_defaults(func=cmd_verify)
 
     return parser

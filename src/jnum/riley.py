@@ -26,10 +26,11 @@ for knots (witnessed by the pair (A, W)) and |z|^2 for links (witnessed
 by (A, B)), with |z| < 4 in both cases.
 
 One pipeline computes this: select_geometric_root builds the polynomial,
-solves it once and screens its roots; the RootChoice it returns carries
-the RootSet. knot_jreport and link_jreport check the relation and J at
-the chosen root, with W evaluated as a numeric product of its letters,
-and refuse with GeometricRootError, which carries the RootChoice.
+solves it once and decides each root's status; the RootChoice it returns
+carries the RootSet and those statuses. knot_jreport and link_jreport
+check the relation and J at the chosen root, with W evaluated as a
+numeric product of its letters, and refuse with GeometricRootError,
+which carries the RootChoice.
 """
 
 from __future__ import annotations
@@ -302,18 +303,44 @@ def solve_roots(poly: IntPoly) -> RootSet:
     return RootSet(poly, tuple(roots), residual)
 
 
+SCREEN_LEN = 6  # default word length of the geometric-root screen
+
+
 @dataclass(frozen=True)
 class RootChoice:
-    """Outcome of the geometric-root screen, with the roots it was made from."""
+    """Outcome of the geometric-root screen, with the roots it was made from.
+
+    statuses and screen_j run parallel to roots.roots. A root's status is
+    "real", "conjugate" (lower half plane), "unscreened" (root_index
+    bypassed the screen), "rejected" or "survivor"; screen_j is the J of
+    the confirmed violation that rejected it, None for every other root.
+    index is the position of z in roots.roots, None when nothing survived;
+    ambiguous means that more than one root survived.
+    """
 
     roots: RootSet       # the solved knot or normalized link polynomial
     link_raw: Optional[IntPoly]  # raw link polynomial W_21; None for knots
-    screened: bool       # False when root_index bypassed the screen
-    z: Optional[complex]  # None when every root was real or rejected
-    index: Optional[int]  # position of z in the RootSet ordering
-    ambiguous: bool      # more than one candidate survived
-    survivors: tuple
-    rejected: tuple      # (root, J of the confirmed violation) pairs
+    statuses: tuple
+    screen_j: tuple
+    index: Optional[int]
+
+    @property
+    def z(self) -> Optional[complex]:
+        return None if self.index is None else self.roots.roots[self.index]
+
+    @property
+    def survivors(self) -> tuple:
+        return tuple(r for r, s in zip(self.roots.roots, self.statuses)
+                     if s == "survivor")
+
+    @property
+    def rejected(self) -> tuple:  # (root, screen_j) pairs
+        return tuple((r, j) for r, j in zip(self.roots.roots, self.screen_j)
+                     if j is not None)
+
+    @property
+    def ambiguous(self) -> bool:
+        return len(self.survivors) > 1
 
 
 def _screen_root(z: complex, sample_len: int) -> Optional[float]:
@@ -327,20 +354,17 @@ def _screen_root(z: complex, sample_len: int) -> Optional[float]:
 
 
 def select_geometric_root(tb: TwoBridge, root_index: Optional[int] = None,
-                          sample_len: int = 6) -> RootChoice:
+                          sample_len: int = SCREEN_LEN) -> RootChoice:
     """Build and solve the representation polynomial, then pick the geometric root.
 
-    This is the one place the two-bridge pipeline builds its polynomial and
-    solves it. Real roots are discarded outright (they give representations
-    into PSL2(R), never the discrete faithful one of a hyperbolic two-bridge
-    complement). The remaining roots are merged into conjugate pairs,
-    represented in the upper half plane, and screened by a Jorgensen
-    inequality sweep over <A, B(z)> at word lengths 2..sample_len; any
-    confirmed non-elementary pair with J < 1 rejects the root. Of the
-    survivors the one of smallest modulus is chosen, flagged ambiguous
-    when others survived too; with no survivor z and index are None.
-    root_index bypasses the whole screen and picks that position of the
-    RootSet ordering.
+    The one place the two-bridge pipeline builds its polynomial, solves it
+    and decides each root's status. Real roots are discarded (they give
+    representations into PSL2(R), never the discrete faithful one of a
+    hyperbolic two-bridge complement). Of each conjugate pair the root in
+    the upper half plane is screened by a Jorgensen inequality sweep over
+    <A, B(z)> at word lengths 2..sample_len: a confirmed non-elementary
+    pair with J < 1 rejects it. The survivor of smallest modulus is
+    chosen. root_index bypasses the screen and picks that position.
     """
     if tb.is_knot:
         poly, raw = knot_poly(tb.p, tb.q), None
@@ -348,25 +372,27 @@ def select_geometric_root(tb: TwoBridge, root_index: Optional[int] = None,
         lp = link_poly(tb.p, tb.q)
         poly, raw = lp.normalized, lp.raw
     rs = solve_roots(poly)
-    if root_index is not None:
-        if not 0 <= root_index < len(rs.roots):
-            raise IndexError(f"root index {root_index} out of range 0..{len(rs.roots) - 1}")
-        return RootChoice(rs, raw, False, rs.roots[root_index], root_index,
-                          False, (), ())
-    survivors = []
-    rejected = []
-    for i, r in enumerate(rs.roots):
-        if r.imag <= tol.CX_EPS:
-            continue
-        bad_j = _screen_root(r, sample_len)
-        if bad_j is None:
-            survivors.append((i, r))
+    if root_index is not None and not 0 <= root_index < len(rs.roots):
+        raise IndexError(f"root index {root_index} out of range 0..{len(rs.roots) - 1}")
+    statuses, screen_j = [], []
+    for r in rs.roots:
+        bad_j = None
+        if abs(r.imag) <= tol.CX_EPS:
+            status = "real"
+        elif r.imag < 0.0:
+            status = "conjugate"
+        elif root_index is not None:
+            status = "unscreened"
         else:
-            rejected.append((r, bad_j))
-    survivors.sort(key=lambda t: (abs(t[1]), t[1].real))
-    idx, z = survivors[0] if survivors else (None, None)
-    return RootChoice(rs, raw, True, z, idx, len(survivors) > 1,
-                      tuple(r for _, r in survivors), tuple(rejected))
+            bad_j = _screen_root(r, sample_len)
+            status = "survivor" if bad_j is None else "rejected"
+        statuses.append(status)
+        screen_j.append(bad_j)
+    if root_index is None:
+        survivors = [i for i, s in enumerate(statuses) if s == "survivor"]
+        root_index = min(survivors, default=None,
+                         key=lambda i: (abs(rs.roots[i]), rs.roots[i].real))
+    return RootChoice(rs, raw, tuple(statuses), tuple(screen_j), root_index)
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +476,7 @@ def _bridge_jreport(tb: TwoBridge, root_index: Optional[int],
 
 
 def knot_jreport(p: int, q: int, root_index: Optional[int] = None,
-                 sample_len: int = 6) -> BridgeReport:
+                 sample_len: int = SCREEN_LEN) -> BridgeReport:
     """Jorgensen data of the two-bridge knot p/q: J(A, W) = |z| < 4."""
     tb = normalize(p, q)
     if not tb.is_knot:
@@ -459,7 +485,7 @@ def knot_jreport(p: int, q: int, root_index: Optional[int] = None,
 
 
 def link_jreport(p: int, q: int, root_index: Optional[int] = None,
-                 sample_len: int = 6) -> BridgeReport:
+                 sample_len: int = SCREEN_LEN) -> BridgeReport:
     """Jorgensen data of the two-bridge link p/q: J(A, B) = |z|^2 < 16."""
     tb = normalize(p, q)
     if tb.is_knot:

@@ -14,7 +14,6 @@ in ascending J.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -335,15 +334,13 @@ def _violations(mats: np.ndarray, threshold: float):
 
 
 def first_violation(gens: GeneratorSet, max_len: int,
-                    threshold: Optional[float] = None):
+                    threshold: float = 1.0 - tol.J_EPS):
     """Cheapest confirmed non-elementary pair with J below threshold, or None.
 
     Early-exit form of inequality_sweep: the first confirmed violation in
     ascending J is returned as (J, x, y). Used to discard non-discrete
     candidate groups quickly.
     """
-    if threshold is None:
-        threshold = 1.0 - tol.J_EPS
     _, stream = _violations(_ball_elements(gens, max_len), threshold)
     return next(stream, None)
 
@@ -360,10 +357,8 @@ class SweepReport:
 
 
 def inequality_sweep(gens: GeneratorSet, max_len: int,
-                     threshold: Optional[float] = None) -> SweepReport:
+                     threshold: float = 1.0 - tol.J_EPS) -> SweepReport:
     """Check J >= threshold for every non-elementary ordered pair in the ball."""
-    if threshold is None:
-        threshold = 1.0 - tol.J_EPS
     mats = _ball_elements(gens, max_len)
     n_candidates, stream = _violations(mats, threshold)
     n = len(mats)

@@ -74,10 +74,12 @@ def test_admissible_orders():
 
 def test_candidate_conjugate_count_validation():
     EllipticCandidate(7, 6.0)                        # none supplied
-    EllipticCandidate(7, 6.0, (0.5, 0.5))            # one per real place pair
-    EllipticCandidate(7, 6.0, (0.1, 0.2, 0.3, 0.4))  # the full Galois orbit
+    EllipticCandidate(7, 6.0, (0.5, 0.5))            # one per real place
     with pytest.raises(ValueError):
         EllipticCandidate(7, 6.0, (1.0, 1.0, 1.0))
+    with pytest.raises(ValueError):
+        # labels k and n - k are the same real place: not the full orbit
+        EllipticCandidate(7, 6.0, (0.1, 0.2, 0.3, 0.4))
     with pytest.raises(ValueError):
         EllipticCandidate(2, 6.0)
 
@@ -86,8 +88,7 @@ def test_candidate_places():
     half = EllipticCandidate(7, 6.0, (0.1, 0.2))
     assert half.conjugate_places() == ((2, 0.1), (3, 0.2))
     assert half.embedding_labels() == (2, 3)
-    full = EllipticCandidate(7, 6.0, (0.1, 0.2, 0.3, 0.4))
-    assert full.conjugate_places() == ((2, 0.1), (3, 0.2), (4, 0.3), (5, 0.4))
+    assert EllipticCandidate(7, 6.0).conjugate_places() == ()
 
 
 def test_screen_passing_candidate():

@@ -243,6 +243,17 @@ def test_gtk_unlisted(capsys):
     assert rep["jorgensen"] == pytest.approx(1.0, abs=1e-9)
 
 
+def test_gtk_large_k_is_an_error_envelope(capsys):
+    # the generators are finite, but a product inside the commutator loses
+    # its determinant; 1e30 still answers
+    for k in ("1e50", "1e100", "1e200"):
+        code, env = run_json(capsys, ["gtk", "1/2", k])
+        assert code == 1 and env["status"] == "error", k
+        assert "determinant" in record(env, "error")["message"]
+    code, env = run_json(capsys, ["gtk", "1/2", "1e30"])
+    assert code == 0 and record(env, "report")["jorgensen"] > 0
+
+
 def test_gtk_rejects_bad_k(capsys):
     # 1e308 is finite, but 2 k e^(i theta) overflows
     for k in ("-1.0", "nan", "inf", "1e308"):
@@ -278,6 +289,15 @@ def test_verify_knot_table(capsys):
     knots = [r for r in env["results"] if r["kind"] == "knot"]
     assert len(knots) == 4
     assert all(k["ok"] for k in knots)
+
+
+def test_verify_knot_table_judges_alpha_at_the_length_asked(capsys):
+    # no retry at a longer length: every knot reports the cap it ran with
+    code, env = run_json(capsys, ["verify", "knot-table", "--max-len", "2"])
+    knots = [r for r in env["results"] if r["kind"] == "knot"]
+    assert len(knots) == 4
+    assert all(k["max_len"] == 2 for k in knots)
+    assert code == 1 and env["status"] == "violation"
 
 
 def test_verify_error_envelope_reports_the_suite_tolerance(capsys):
@@ -323,9 +343,9 @@ def test_csv_output(capsys):
 
 def test_config_max_len_and_flag_precedence(capsys, tmp_path):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"max_len": 8}))
+    cfg.write_text(json.dumps({"max_len": 5}))
     _, env = run_json(capsys, ["knot", "7/3", "--config", str(cfg)])
-    assert env["inputs"]["max_len"] == 8
+    assert env["inputs"]["max_len"] == 5
     _, env = run_json(capsys, ["knot", "7/3", "--config", str(cfg),
                                "--max-len", "4"])
     assert env["inputs"]["max_len"] == 4

@@ -213,6 +213,7 @@ def test_root_index_bypasses_the_screen():
     assert ch.index == 0
     assert ch.z.imag == 0
     assert ch.survivors == () and ch.rejected == ()
+    assert ch.statuses == ("real", "conjugate", "unscreened")
     with pytest.raises(IndexError):
         select_geometric_root(TwoBridge(7, 3), root_index=3)
 
@@ -282,8 +283,13 @@ def test_refusal_carries_the_screen():
     with pytest.raises(GeometricRootError) as exc:
         knot_jreport(27, 16)
     choice = exc.value.choice
-    assert choice.index == 10 and choice.screened
-    assert len(choice.roots.roots) == 13
+    assert choice.index == 10
+    assert len(choice.roots.roots) == len(choice.statuses) == 13
+    assert choice.statuses[10] == "survivor"
+    assert choice.statuses.count("rejected") == 4
+    assert "unscreened" not in choice.statuses
+    assert [j is not None for j in choice.screen_j] == [
+        s == "rejected" for s in choice.statuses]
     assert len(choice.rejected) == 4
 
 
