@@ -129,6 +129,9 @@ def _load_config(path: Optional[str]) -> dict:
     unknown = sorted(set(cfg) - {"tol", "max_len"})
     if unknown:
         raise UsageError(f"unknown config keys: {', '.join(unknown)}")
+    for key, value in cfg.items():
+        if isinstance(value, bool):  # JSON true/false load as a subclass of int
+            raise UsageError(f"config {key} must be a number, not {json.dumps(value)}")
     if "tol" in cfg:
         if not isinstance(cfg["tol"], (int, float)) or not 0 < cfg["tol"] < 1:
             raise UsageError("config tol must be a number in (0, 1)")

@@ -25,6 +25,11 @@ At a geometric root the Jorgensen number of the representation is |z|
 for knots (witnessed by the pair (A, W)) and |z|^2 for links (witnessed
 by (A, B)), with |z| < 4 in both cases.
 
+Numeric roots: solve_roots takes them as the eigenvalues of the real
+companion matrix (Edelman-Murakami, Math. Comp. 64, 1995), polished by
+Newton steps, so real roots are exactly real and the complex roots come
+in exactly conjugate pairs.
+
 One pipeline computes this: select_geometric_root builds the polynomial,
 solves it once and decides each root's status; the RootChoice it returns
 carries the RootSet and those statuses. knot_jreport and link_jreport
@@ -243,57 +248,30 @@ def _residual_bound(poly: IntPoly) -> float:
 
 
 def solve_roots(poly: IntPoly) -> RootSet:
-    """Durand-Kerner iteration with Newton polish and conjugate pairing.
+    """All roots of poly: companion-matrix eigenvalues with a Newton polish.
 
-    The residual max |poly(root)| is required to come out below
-    _residual_bound(poly); failure to converge raises SearchError.
+    The roots at 0 come from the valuation; the rest are the eigenvalues
+    of the real companion matrix of the remaining factor (np.roots), so a
+    real root has imaginary part exactly 0 and the complex roots come in
+    exactly conjugate pairs. Three Newton steps in real-coefficient
+    arithmetic polish them and keep both properties. The residual
+    max |poly(root)| is required to come out below _residual_bound(poly);
+    otherwise SearchError is raised.
     """
     if poly.is_zero:
         raise ValueError("zero polynomial has every point as a root")
     v = poly.valuation()
     core = poly.shifted_down(v)
     roots = [0.0 + 0.0j] * v
-    deg = core.degree
-    if deg > 0:
-        monic = np.array(core.coeffs, dtype=np.complex128) / core.coeffs[-1]
-        radius = 1.0 + float(np.abs(monic[:-1]).max())
-        ang = 2.0 * np.pi * np.arange(deg) / deg + 0.4
-        z = radius * np.exp(1j * ang)
-        desc = monic[::-1]
-        for _ in range(500):
-            pv = np.polyval(desc, z)
-            diff = z[:, None] - z[None, :]
-            np.fill_diagonal(diff, 1.0)
-            step = pv / diff.prod(axis=1)
-            z = z - step
-            if np.abs(step).max() < tol.ROOT_STEP_EPS * max(1.0, np.abs(z).max()):
-                break
+    if core.degree > 0:
+        desc = np.array(core.coeffs[::-1], dtype=float)
+        z = np.roots(desc).astype(np.complex128)
         dcoef = np.polyder(desc)
         for _ in range(3):
             dv = np.polyval(dcoef, z)
             safe = np.abs(dv) > tol.DERIV_FLOOR
             z = np.where(safe, z - np.polyval(desc, z) / np.where(safe, dv, 1.0), z)
-        zs = list(z)
-        # real coefficients: snap near-real roots, average conjugate pairs
-        used = [False] * len(zs)
-        for i, r in enumerate(zs):
-            if abs(r.imag) <= tol.ROOT_EPS * (1.0 + abs(r.real)):
-                zs[i] = complex(r.real, 0.0)
-                used[i] = True
-        for i, r in enumerate(zs):
-            if used[i]:
-                continue
-            best, best_d = -1, float("inf")
-            for j in range(i + 1, len(zs)):
-                if not used[j]:
-                    d = abs(zs[j] - r.conjugate())
-                    if d < best_d:
-                        best, best_d = j, d
-            if best >= 0 and best_d <= tol.PAIR_EPS * (1.0 + abs(r)):
-                avg = (r + zs[best].conjugate()) / 2.0
-                zs[i], zs[best] = avg, avg.conjugate()
-                used[i] = used[best] = True
-        roots.extend(zs)
+        roots.extend(complex(r) for r in z)
     roots.sort(key=lambda w: (round(w.real, 12), round(w.imag, 12)))
     residual = max((abs(poly(r)) for r in roots), default=0.0)
     bound = _residual_bound(poly)

@@ -23,10 +23,8 @@ TABLE_EPS = 1e-6       # tabulated decimals (arithcomp, knot table) carry 7-9 di
 PARAM_EPS = 1e-9       # a G(theta, k) within this of a listed k is that family
 RECOGNIZE_EPS = 1e-6   # residual of a recognized x^2 + b x + c, relative to 1 + |x|^2
 RECOGNIZE_COEFF_CAP = 10 ** 6  # largest |b|, |c| a recognized field may need
-ROOT_EPS = 1e-9        # relative accuracy of a computed root: residual and real snap
-ROOT_STEP_EPS = 1e-14  # Durand-Kerner stops once no root moves by more (relative)
+ROOT_EPS = 1e-9        # relative accuracy of a computed root: its residual bound
 DERIV_FLOOR = 1e-30    # Newton polish leaves a root whose |p'| is below this
-PAIR_EPS = 1e-6        # a root pairs with a conjugate this close (relative)
 SCREEN_SLACK = 1e-6    # a root screen rejects on a pair with J < 1 - SCREEN_SLACK
 J_AGREE_EPS = 1e-6     # J of a two-bridge witness pair vs |z| or |z|^2 (relative)
 COMM_EPS = 1e-8        # pairs with |tr [X, Y] - 2| <= COMM_EPS are elementary

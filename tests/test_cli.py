@@ -166,6 +166,15 @@ def test_large_word_fractions_answer_or_refuse(capsys, fraction):
     assert rep["jorgensen"] == pytest.approx(abs(z) if knot else abs(z) ** 2, abs=1e-6)
 
 
+@pytest.mark.parametrize("argv", [["link", "58/1"], ["knot", "101/37"], ["knot", "201/77"]])
+def test_unsolvable_polynomial_is_an_error_envelope(capsys, argv):
+    # roots that miss the residual bound are refused, never carried into
+    # a non-finite matrix entry
+    code, env = run_json(capsys, argv)
+    assert code == 1 and env["status"] == "error"
+    assert "residual" in record(env, "error")["message"]
+
+
 @pytest.mark.parametrize("argv", [
     ["knot", "7/3"], ["link", "8/3"], ["knot", "7/3", "--root-index", "0"],
     ["link", "4/1"]])
@@ -366,6 +375,7 @@ def test_config_tol_reaches_tolerances(capsys, tmp_path):
     json.dumps({"max_len": 0}),
     json.dumps({"unknown": 1}),
     json.dumps({"max_len": 17}),
+    json.dumps({"max_len": True}),
 ])
 def test_config_rejects_bad_files(capsys, tmp_path, payload):
     cfg = tmp_path / "cfg.json"

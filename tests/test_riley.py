@@ -188,6 +188,20 @@ def test_solve_roots_figure_eight_sixth_roots():
     assert abs(got[1] - OMEGA) <= 1e-12
 
 
+def test_solve_roots_gives_exact_reals_and_conjugate_pairs():
+    # the roots are eigenvalues of a real companion matrix: a real root has
+    # imaginary part exactly 0, and a non-real root's conjugate is a root
+    # bit for bit
+    for p, q in coprime_fractions(31):
+        if p < 5:
+            continue
+        poly = knot_poly(p, q) if p % 2 else link_poly(p, q).normalized
+        roots = solve_roots(poly).roots
+        assert len(roots) == poly.degree
+        for z in roots:
+            assert z.imag == 0.0 or z.conjugate() in roots, (p, q, z)
+
+
 def test_select_geometric_root_52():
     ch = select_geometric_root(TwoBridge(7, 3))
     assert ch.index == 2
