@@ -6,6 +6,7 @@ integer coefficients, e.g. "1,2,1,1" = 1 + 2z + z^2 + z^3.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -82,6 +83,36 @@ class IntPoly:
                 out[i + j] += ci * cj
         return IntPoly(_trim(out))
 
+    def derivative(self) -> "IntPoly":
+        return IntPoly(_trim(k * c for k, c in enumerate(self.coeffs) if k))
+
+    def primitive(self) -> "IntPoly":
+        """Divide out the content; the leading coefficient comes out positive."""
+        if self.is_zero:
+            return self
+        g = math.gcd(*self.coeffs)
+        if self.coeffs[-1] < 0:
+            g = -g
+        return IntPoly(tuple(c // g for c in self.coeffs))
+
+    def gcd(self, other: "IntPoly") -> "IntPoly":
+        """Greatest common divisor over Q, as a primitive integer polynomial.
+
+        Euclid's algorithm on pseudo-remainders, each made primitive, so
+        every step stays in exact integer arithmetic.
+        """
+        a, b = self.primitive(), other.primitive()
+        while not b.is_zero:
+            r, lead, db = list(a.coeffs), b.coeffs[-1], b.degree
+            while len(r) > db:
+                head, shift = r[-1], len(r) - 1 - db
+                r = [lead * c for c in r]
+                for j, bj in enumerate(b.coeffs):
+                    r[shift + j] -= head * bj
+                r = list(_trim(r))
+            a, b = b, IntPoly(tuple(r)).primitive()
+        return a
+
     def valuation(self) -> int:
         """Order of vanishing at z = 0 (0 for nonzero constant term)."""
         if self.is_zero:
@@ -117,3 +148,27 @@ class IntPoly:
         if any(rem):
             raise ValueError("not exactly divisible over the integers")
         return IntPoly(_trim(quo))
+
+
+def squarefree_factors(poly: IntPoly) -> tuple:
+    """((a_1, 1), (a_2, 2), ...): poly = c a_1 a_2^2 a_3^3 ... by Yun's algorithm.
+
+    The a_i are square-free and pairwise coprime, so every root of a_i is a
+    root of poly of multiplicity exactly i; only factors of positive degree
+    are listed. A square-free poly comes back unchanged as ((poly, 1),).
+    """
+    deriv = poly.derivative()
+    common = poly.gcd(deriv)
+    if common.degree <= 0:
+        return ((poly, 1),)
+    b, c = poly.divexact(common), deriv.divexact(common)
+    d = c - b.derivative()
+    out, mult = [], 1
+    while b.degree > 0:
+        a = b.gcd(d)
+        b, c = b.divexact(a), d.divexact(a)
+        if a.degree > 0:
+            out.append((a, mult))
+        mult += 1
+        d = c - b.derivative()
+    return tuple(out)

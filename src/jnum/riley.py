@@ -26,9 +26,10 @@ for knots (witnessed by the pair (A, W)) and |z|^2 for links (witnessed
 by (A, B)), with |z| < 4 in both cases.
 
 Numeric roots: solve_roots takes them as the eigenvalues of the real
-companion matrix (Edelman-Murakami, Math. Comp. 64, 1995), polished by
-Newton steps, so real roots are exactly real and the complex roots come
-in exactly conjugate pairs.
+companion matrix (Edelman-Murakami, Math. Comp. 64, 1995) of each
+square-free factor (Yun's algorithm, exact), polished by Newton steps, so
+real roots are exactly real, the complex roots come in exactly conjugate
+pairs, and a multiple root is repeated rather than split.
 
 One pipeline computes this: select_geometric_root builds the polynomial,
 solves it once and decides each root's status; the RootChoice it returns
@@ -47,7 +48,7 @@ from typing import Optional
 import numpy as np
 
 from . import tolerances as tol
-from .intpoly import IntPoly
+from .intpoly import IntPoly, squarefree_factors
 from .linalg import JReport, Mat2, jorgensen_pair
 from .words import GeneratorSet, SearchError, Word, evaluate, first_violation
 
@@ -250,11 +251,14 @@ def _residual_bound(poly: IntPoly) -> float:
 def solve_roots(poly: IntPoly) -> RootSet:
     """All roots of poly: companion-matrix eigenvalues with a Newton polish.
 
-    The roots at 0 come from the valuation; the rest are the eigenvalues
-    of the real companion matrix of the remaining factor (np.roots), so a
-    real root has imaginary part exactly 0 and the complex roots come in
-    exactly conjugate pairs. Three Newton steps in real-coefficient
-    arithmetic polish them and keep both properties. The residual
+    The roots at 0 come from the valuation. The remaining factor is split
+    into square-free parts (squarefree_factors); the roots of each part are
+    the eigenvalues of its real companion matrix (np.roots), listed as
+    many times as the part's multiplicity, so a multiple root comes out as
+    equal copies instead of a cluster. A real root has imaginary part
+    exactly 0 and the complex roots come in exactly conjugate pairs.
+    Three Newton steps on each simple-rooted part, in real-coefficient
+    arithmetic, polish them and keep both properties. The residual
     max |poly(root)| is required to come out below _residual_bound(poly);
     otherwise SearchError is raised.
     """
@@ -264,14 +268,15 @@ def solve_roots(poly: IntPoly) -> RootSet:
     core = poly.shifted_down(v)
     roots = [0.0 + 0.0j] * v
     if core.degree > 0:
-        desc = np.array(core.coeffs[::-1], dtype=float)
-        z = np.roots(desc).astype(np.complex128)
-        dcoef = np.polyder(desc)
-        for _ in range(3):
-            dv = np.polyval(dcoef, z)
-            safe = np.abs(dv) > tol.DERIV_FLOOR
-            z = np.where(safe, z - np.polyval(desc, z) / np.where(safe, dv, 1.0), z)
-        roots.extend(complex(r) for r in z)
+        for factor, mult in squarefree_factors(core):
+            desc = np.array(factor.coeffs[::-1], dtype=float)
+            z = np.roots(desc).astype(np.complex128)
+            dcoef = np.polyder(desc)
+            for _ in range(3):
+                dv = np.polyval(dcoef, z)
+                safe = np.abs(dv) > tol.DERIV_FLOOR
+                z = np.where(safe, z - np.polyval(desc, z) / np.where(safe, dv, 1.0), z)
+            roots.extend(complex(r) for r in z for _ in range(mult))
     roots.sort(key=lambda w: (round(w.real, 12), round(w.imag, 12)))
     residual = max((abs(poly(r)) for r in roots), default=0.0)
     bound = _residual_bound(poly)

@@ -5,7 +5,13 @@ inequality checks.
 The aggregate operations (min_c_entry, min_loxodromic_defect,
 first_violation, inequality_sweep) walk a breadth-first ball of group
 elements with projective dedup on a 1e-6 quantization grid, which is what
-keeps depth-12 sweeps tractable. The two inequality checks share one
+keeps depth-12 sweeps tractable. Each element's grid key is hashed to one
+64-bit integer; the seen elements are kept sorted by hash, each level's
+new elements are found by a sort of its own hashes and a binary search
+into the seen ones, and are merged in at their positions, so no key is
+sorted twice. Every hash match is confirmed on the full key, and a level
+where two different keys share a hash is resolved by a full-key sort
+instead. The two inequality checks share one
 stream of pair candidates: every ordered ball pair is screened by its
 commutator trace and J, and the pairs below the threshold are confirmed
 in ascending J.
@@ -151,6 +157,53 @@ def _canonical_keys(mats: np.ndarray) -> np.ndarray:
     return q
 
 
+# odd per-column multipliers and the murmur3 fmix64 finaliser of _key_hash
+_HASH_MULT = tuple(np.uint64(m) for m in (
+    0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F, 0x165667B19E3779F9, 0xD6E8FEB86659FD93,
+    0xFF51AFD7ED558CCD, 0xC4CEB9FE1A85EC53, 0x94D049BB133111EB, 0xBF58476D1CE4E5B9))
+_FMIX = (np.uint64(0xFF51AFD7ED558CCD), np.uint64(0xC4CEB9FE1A85EC53))
+
+
+def _key_hash(keys: np.ndarray) -> np.ndarray:
+    """One uint64 per key row: odd per-column multipliers (mod 2^64), then a mix."""
+    cols = keys.view(np.uint64)
+    h = cols[:, 0] * _HASH_MULT[0]
+    term = np.empty_like(h)
+    for j in range(1, 8):
+        np.multiply(cols[:, j], _HASH_MULT[j], out=term)
+        h += term
+    for mult in _FMIX:
+        h ^= h >> np.uint64(33)
+        h *= mult
+    h ^= h >> np.uint64(33)
+    return h
+
+
+def _fresh_rows(seen_h: np.ndarray, seen_k: np.ndarray, hashes: np.ndarray,
+                keys: np.ndarray):
+    """Rows of keys that are first occurrences and not in seen, in hash order.
+
+    seen_h is sorted and seen_k holds the keys in the same order. Returns
+    the row indices with their hashes sorted ascending, or None when two
+    different keys share a hash, which the caller resolves exactly.
+    """
+    order = np.argsort(hashes, kind="stable")
+    hs = hashes[order]
+    same = hs[1:] == hs[:-1]
+    pairs = np.flatnonzero(same)
+    if not (keys[order[pairs]] == keys[order[pairs + 1]]).all():
+        return None
+    head = np.ones(len(hs), dtype=bool)
+    head[1:] = ~same
+    rows, hs = order[head], hs[head]
+    pos = np.searchsorted(seen_h, hs)
+    hit = pos < len(seen_h)
+    hit[hit] = seen_h[pos[hit]] == hs[hit]
+    if not (seen_k[pos[hit]] == keys[rows[hit]]).all():
+        return None
+    return rows[~hit], hs[~hit]
+
+
 def ball_levels(gens: GeneratorSet, max_len: int):
     """Breadth-first ball of group elements, one (n,2,2) array per radius.
 
@@ -163,7 +216,8 @@ def ball_levels(gens: GeneratorSet, max_len: int):
     syms = _symbol_array(gens)
     ns = len(syms)
     ident = np.eye(2, dtype=np.complex128)[None]
-    seen = _canonical_keys(ident)  # sorted keys of every element so far
+    seen_k = _canonical_keys(ident)  # keys of every element so far, by hash
+    seen_h = _key_hash(seen_k)       # their hashes, sorted
     levels = [ident]
     frontier = ident
     last = np.full(1, -1, dtype=np.int64)
@@ -175,11 +229,21 @@ def ball_levels(gens: GeneratorSet, max_len: int):
         ok = nxt != (last[:, None] ^ 1)
         cand = prods[ok]
         cand_last = nxt[ok]
-        # first occurrences past the seen keys are the new elements
-        n_seen = len(seen)
-        seen, first = np.unique(np.concatenate((seen, _canonical_keys(cand))),
-                                axis=0, return_index=True)
-        keep = np.sort(first[first >= n_seen]) - n_seen
+        keys = _canonical_keys(cand)
+        hashes = _key_hash(keys)
+        fresh = _fresh_rows(seen_h, seen_k, hashes, keys)
+        if fresh is None:  # a hash collision: first occurrences by full-key sort
+            n_seen = len(seen_k)
+            _, first = np.unique(np.concatenate((seen_k, keys)), axis=0,
+                                 return_index=True)
+            rows = first[first >= n_seen] - n_seen
+            rows = rows[np.argsort(hashes[rows], kind="stable")]
+            fresh = rows, hashes[rows]
+        rows, new_h = fresh
+        pos = np.searchsorted(seen_h, new_h)
+        seen_h = np.insert(seen_h, pos, new_h)
+        seen_k = np.insert(seen_k, pos, keys[rows], axis=0)
+        keep = np.sort(rows)
         frontier = cand[keep]
         last = cand_last[keep]
         levels.append(frontier)
@@ -233,8 +297,7 @@ def _primitive_min_defect(traces: np.ndarray) -> float:
     near_zero = np.abs(t.real) <= tol.ROUND_EPS
     flip = (t.real < -tol.ROUND_EPS) | (near_zero & (t.imag < 0))
     t[flip] *= -1
-    order = np.lexsort((t.imag, t.real))
-    t = t[order]
+    t = t[np.argsort(t, kind="stable")]
     fresh = np.empty(len(t), dtype=bool)
     fresh[0] = True
     fresh[1:] = np.abs(np.diff(t)) > tol.CLASS_EPS

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jnum.intpoly import IntPoly
+from jnum.intpoly import IntPoly, squarefree_factors
 
 
 def test_construction_trims_and_normalizes():
@@ -51,6 +51,28 @@ def test_divexact():
         IntPoly((1, 1, 1)).divexact(IntPoly((1, 1)))
     with pytest.raises(ZeroDivisionError):
         IntPoly((1, 1)).divexact(IntPoly(()))
+
+
+def test_gcd_derivative_and_primitive():
+    a = IntPoly((1, 1)) * IntPoly((-2, 0, 1))   # (z + 1)(z^2 - 2)
+    b = IntPoly((6, 6)) * IntPoly((3, -1))      # 6 (z + 1)(3 - z)
+    assert a.gcd(b).coeffs == (1, 1)
+    assert a.gcd(IntPoly((5,))).coeffs == (1,)
+    assert IntPoly((0, 0, 0, 4)).derivative().coeffs == (0, 0, 12)
+    assert IntPoly((7,)).derivative().is_zero
+    assert IntPoly((4, -6, -2)).primitive().coeffs == (-2, 3, 1)
+
+
+def test_squarefree_factors_by_multiplicity():
+    lin = IntPoly((1, 1))        # z + 1
+    quad = IntPoly((1, 0, 1))    # z^2 + 1
+    other = IntPoly((-3, 0, 2))  # 2 z^2 - 3
+    poly = IntPoly((-1,)) * other * quad * quad * lin * lin * lin
+    assert squarefree_factors(poly) == ((other, 1), (quad, 2), (lin, 3))
+    assert squarefree_factors(lin * lin) == ((lin, 2),)
+    # a square-free polynomial comes back as it is, sign and content too
+    neg = IntPoly((-2,)) * other
+    assert squarefree_factors(neg) == ((neg, 1),)
 
 
 coeffs = st.lists(st.integers(min_value=-50, max_value=50), max_size=8)

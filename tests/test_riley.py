@@ -202,6 +202,24 @@ def test_solve_roots_gives_exact_reals_and_conjugate_pairs():
             assert z.imag == 0.0 or z.conjugate() in roots, (p, q, z)
 
 
+@pytest.mark.parametrize("q,root,index", [(7, -1.0, 4), (17, 1.0, 7)])
+def test_triple_root_comes_out_exact_and_real(q, root, index):
+    # the link polynomial of 24/7 is (z + 1)^3 times a square-free octic,
+    # that of 24/17 (z - 1)^3 times one: the triple root is three exact
+    # copies, all real, so none of them is screened
+    ch = select_geometric_root(TwoBridge(24, q))
+    copies = [i for i, z in enumerate(ch.roots.roots) if z == root]
+    assert len(copies) == 3
+    assert all(ch.roots.roots[i].imag == 0.0 and ch.statuses[i] == "real"
+               for i in copies)
+    assert all(abs(z - root) > 1e-3 for z in ch.roots.roots if z != root)
+    assert len(ch.roots.roots) == ch.roots.poly.degree
+    assert ch.index == index
+    assert ch.ambiguous
+    rep = link_jreport(24, q)
+    assert abs(rep.jorgensen - 2.89005363826396) <= 1e-12
+
+
 def test_select_geometric_root_52():
     ch = select_geometric_root(TwoBridge(7, 3))
     assert ch.index == 2

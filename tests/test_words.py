@@ -1,7 +1,10 @@
 import math
 
+import numpy as np
 import pytest
 
+from jnum import words
+from jnum.catalog import bianchi_generators, knot_table
 from jnum.linalg import Mat2, proj_dist
 from jnum.riley import RILEY_A, riley_b
 from jnum.words import (GeneratorSet, Word, ball_levels, evaluate,
@@ -68,6 +71,100 @@ def test_ball_levels_respect_group_torsion():
     levels = ball_levels(gens, 2)
     # S = S^-1 projectively, so radius 1 holds 3 elements, not 4
     assert len(levels[1]) == 3
+
+
+def oracle_ball_levels(gens, max_len):
+    """Breadth-first ball deduplicated by a full row sort of every seen key.
+
+    Each level runs np.unique(axis=0) over all seen keys plus the level's
+    own and keeps the first occurrences past the seen ones: slow, but
+    obviously exact.
+    """
+    syms = words._symbol_array(gens)
+    ns = len(syms)
+    ident = np.eye(2, dtype=np.complex128)[None]
+    seen = words._canonical_keys(ident)
+    levels = [ident]
+    frontier = ident
+    last = np.full(1, -1, dtype=np.int64)
+    for _ in range(max_len):
+        if len(frontier) == 0:
+            break
+        prods = np.einsum("nij,sjk->nsik", frontier, syms)
+        nxt = np.repeat(np.arange(ns, dtype=np.int64)[None, :], len(frontier), axis=0)
+        ok = nxt != (last[:, None] ^ 1)
+        cand = prods[ok]
+        cand_last = nxt[ok]
+        n_seen = len(seen)
+        seen, first = np.unique(np.concatenate((seen, words._canonical_keys(cand))),
+                                axis=0, return_index=True)
+        keep = np.sort(first[first >= n_seen]) - n_seen
+        frontier = cand[keep]
+        last = cand_last[keep]
+        levels.append(frontier)
+    return levels
+
+
+def _table_group(label):
+    row = next(r for r in knot_table() if r.label == label)
+    return GeneratorSet(("A", "B"), (RILEY_A, riley_b(row.z)))
+
+
+ORACLE_GROUPS = [
+    ("fig8", lambda: FIG8, 7),
+    ("free", lambda: GeneratorSet(("A", "B"), (RILEY_A, riley_b(5.0))), 6),
+    ("torsion", lambda: GeneratorSet(("S", "T"), (Mat2(0, -1, 1, 0), Mat2(1, 1j, 0, 1))), 2),
+    ("bianchi3", lambda: bianchi_generators(3), 6),
+    ("5_2", lambda: _table_group("5_2"), 9),
+]
+
+
+def assert_same_levels(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("name,make,length", ORACLE_GROUPS, ids=[g[0] for g in ORACLE_GROUPS])
+def test_ball_levels_match_the_full_sort_oracle(name, make, length):
+    gens = make()
+    assert_same_levels(ball_levels(gens, length), oracle_ball_levels(gens, length))
+
+
+@pytest.mark.parametrize("degenerate", [
+    lambda keys: (keys[:, 0] & 3).astype(np.uint64),
+    lambda keys: ((keys[:, 0] ^ keys[:, 3]) & 0x3FF).astype(np.uint64),
+], ids=["two_bits", "ten_bits"])
+def test_ball_levels_are_exact_under_hash_collisions(monkeypatch, degenerate):
+    # a hash with a handful of values makes unequal keys share a hash on
+    # most levels: the full-key confirmation must resolve every one
+    collisions = []
+
+    def spy(keys):
+        h = degenerate(keys)
+        collisions.append(len(np.unique(h)) < len(np.unique(keys, axis=0)))
+        return h
+
+    monkeypatch.setattr(words, "_key_hash", spy)
+    for name, make, length in ORACLE_GROUPS:
+        gens = make()
+        assert_same_levels(ball_levels(gens, length), oracle_ball_levels(gens, length))
+    assert any(collisions)
+
+
+def test_fresh_rows_defers_a_hash_shared_with_a_different_seen_key():
+    ident = np.array([[1, 0, 0, 0, 0, 0, 1, 0]], dtype=np.int64)
+    other = np.array([[2, 0, 0, 0, 0, 0, 1, 0]], dtype=np.int64)
+    seen_h = np.array([7], dtype=np.uint64)
+    h7 = np.array([7], dtype=np.uint64)
+    rows, new_h = words._fresh_rows(seen_h, ident, h7, ident)
+    assert len(rows) == 0 and len(new_h) == 0
+    rows, new_h = words._fresh_rows(seen_h, ident, np.array([8], dtype=np.uint64), other)
+    assert rows.tolist() == [0] and new_h.tolist() == [8]
+    assert words._fresh_rows(seen_h, ident, h7, other) is None
+    both = np.concatenate((ident, other))
+    assert words._fresh_rows(seen_h[:0], ident[:0], np.array([3, 3], dtype=np.uint64),
+                             both) is None
 
 
 # --- invariants over the ball -------------------------------------------------
