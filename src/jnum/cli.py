@@ -173,6 +173,9 @@ def _bridge_command(args, cfg: dict) -> dict:
     is_knot_cmd = command == "knot"
     p, q = _fraction_pair(args.fraction, "the two-bridge fraction")
     sample_len = _cap(args.max_len, cfg, SCREEN_LEN)
+    if sample_len < 2:
+        raise UsageError(f"{command} screens roots at word lengths 2..max_len, "
+                         f"so max_len must be at least 2, got {sample_len}")
     try:
         tb = normalize(p, q)
     except ValueError as exc:
@@ -490,7 +493,8 @@ def build_parser() -> argparse.ArgumentParser:
         br.add_argument("--root-index", type=int, default=None, metavar="N",
                         help="bypass the geometric screen and take root N")
         br.add_argument("--max-len", type=int, default=None, metavar="L",
-                        help=f"screening word length (default {SCREEN_LEN})")
+                        help=f"screening word length, 2..{MAX_BALL_LEN} "
+                             f"(default {SCREEN_LEN})")
         br.set_defaults(func=_bridge_command)
 
     bi = sub.add_parser("bianchi", parents=[common],

@@ -349,6 +349,8 @@ def select_geometric_root(tb: TwoBridge, root_index: Optional[int] = None,
     pair with J < 1 rejects it. The survivor of smallest modulus is
     chosen. root_index bypasses the screen and picks that position.
     """
+    if sample_len < 2:
+        raise ValueError(f"screen length {sample_len} below 2 would screen nothing")
     if tb.is_knot:
         poly, raw = knot_poly(tb.p, tb.q), None
     else:

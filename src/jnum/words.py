@@ -11,10 +11,10 @@ new elements are found by a sort of its own hashes and a binary search
 into the seen ones, and are merged in at their positions, so no key is
 sorted twice. Every hash match is confirmed on the full key, and a level
 where two different keys share a hash is resolved by a full-key sort
-instead. The two inequality checks share one
-stream of pair candidates: every ordered ball pair is screened by its
-commutator trace and J, and the pairs below the threshold are confirmed
-in ascending J.
+instead. The violation stream behind both inequality checks sweeps only
+the rows X with |tr^2 X - 4| below the threshold, since J is never below
+that defect, and confirms its pairs in ascending J; inequality_sweep
+counts its candidates over every row in a pass of its own.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from . import tolerances as tol
 from .linalg import IDENT, Mat2, is_nonelementary
 
 MAX_BALL_LEN = 16  # the longest word length a ball is built to
+_PAIR_BLOCK = 256  # rows of X per block of the pair kernel
 
 
 class SearchError(RuntimeError):
@@ -224,11 +225,10 @@ def ball_levels(gens: GeneratorSet, max_len: int):
     for _ in range(max_len):
         if len(frontier) == 0:
             break
-        prods = np.einsum("nij,sjk->nsik", frontier, syms)
-        nxt = np.repeat(np.arange(ns, dtype=np.int64)[None, :], len(frontier), axis=0)
-        ok = nxt != (last[:, None] ^ 1)
-        cand = prods[ok]
-        cand_last = nxt[ok]
+        # each element times every symbol but the inverse of its last one
+        src, nxt = np.nonzero(np.arange(ns) != (last[:, None] ^ 1))
+        cand = np.einsum("nij,njk->nik", frontier[src], syms[nxt])
+        cand_last = nxt
         keys = _canonical_keys(cand)
         hashes = _key_hash(keys)
         fresh = _fresh_rows(seen_h, seen_k, hashes, keys)
@@ -338,8 +338,8 @@ def min_loxodromic_defect(gens: GeneratorSet, max_len: int) -> float:
     return _primitive_min_defect(lox)
 
 
-def _pair_stats_blocks(mats: np.ndarray, block: int = 256):
-    """Yield (row_start, J_block, comm_block) for all ordered pairs.
+def _pair_devs(mats: np.ndarray, rows: np.ndarray):
+    """Yield (block of rows, |tr [X, Y] - 2|) for X in mats[rows], Y in mats.
 
     Uses the trace identity
         tr [X, Y] = tr^2 X + tr^2 Y + tr^2 XY - tr X tr Y tr XY - 2
@@ -347,15 +347,12 @@ def _pair_stats_blocks(mats: np.ndarray, block: int = 256):
     """
     tr = mats[:, 0, 0] + mats[:, 1, 1]
     tr2 = tr * tr
-    defect = np.abs(tr2 - 4.0)
-    for start in range(0, len(mats), block):
-        rows = mats[start:start + block]
-        tr_xy = np.einsum("aij,bji->ab", rows, mats)
-        tr_row = tr[start:start + block]
-        comm = (tr2[start:start + block, None] + tr2[None, :] + tr_xy * tr_xy
-                - tr_row[:, None] * tr[None, :] * tr_xy - 2.0)
-        jval = defect[start:start + block, None] + np.abs(comm - 2.0)
-        yield start, jval, comm
+    for start in range(0, len(rows), _PAIR_BLOCK):
+        r = rows[start:start + _PAIR_BLOCK]
+        tr_xy = np.einsum("aij,bji->ab", mats[r], mats)
+        comm = (tr2[r, None] + tr2[None, :] + tr_xy * tr_xy
+                - tr[r, None] * tr[None, :] * tr_xy - 2.0)
+        yield r, np.abs(comm - 2.0)
 
 
 def _mat_of(row: np.ndarray) -> Mat2:
@@ -364,36 +361,29 @@ def _mat_of(row: np.ndarray) -> Mat2:
 
 
 def _violations(mats: np.ndarray, threshold: float):
-    """(n_candidates, stream of confirmed violations) over all ordered pairs.
+    """Confirmed non-elementary (J, x, y) with J below threshold, in ascending J.
 
-    Candidate pairs are those with tr [X, Y] != 2 (a shared fixed point
-    forces the commutator trace to equal 2 exactly); they are only counted.
-    The few below threshold are kept and confirmed with the full
-    elementarity heuristic lazily, in ascending J, each yielded as (J, x, y).
+    J(X, Y) = |tr^2 X - 4| + |tr [X, Y] - 2| is never below the defect
+    |tr^2 X - 4|, in floats too, so only rows X with a defect below
+    threshold can violate. Pairs with tr [X, Y] = 2 share a fixed point and
+    are skipped; the rest are confirmed by the full heuristic lazily.
     """
-    n_candidates = 0
+    tr = mats[:, 0, 0] + mats[:, 1, 1]
+    defect = np.abs(tr * tr - 4.0)
     low = []
-    for start, jval, comm in _pair_stats_blocks(mats):
-        mask = np.abs(comm - 2.0) > tol.COMM_EPS
-        n_candidates += int(np.count_nonzero(mask))
-        # named, so it is freed only with the next block: freeing it at once
-        # raised the sweep's peak RSS by 5 MB (allocator placement)
-        below = mask & (jval < threshold)
-        rows, cols = np.nonzero(below)
-        if len(rows):
-            low.append((jval[rows, cols], rows + start, cols))
-
-    def confirmed():
-        if not low:
-            return
-        jv, rows, cols = (np.concatenate(part) for part in zip(*low))
-        for k in np.argsort(jv, kind="stable"):
-            x = _mat_of(mats[rows[k]])
-            y = _mat_of(mats[cols[k]])
-            if is_nonelementary(x, y):
-                yield float(jv[k]), x, y
-
-    return n_candidates, confirmed()
+    for rows, dev in _pair_devs(mats, np.flatnonzero(defect < threshold)):
+        jval = defect[rows, None] + dev
+        r, cols = np.nonzero((dev > tol.COMM_EPS) & (jval < threshold))
+        if len(r):
+            low.append((jval[r, cols], rows[r], cols))
+    if not low:
+        return
+    jv, rows, cols = (np.concatenate(part) for part in zip(*low))
+    for k in np.argsort(jv, kind="stable"):
+        x = _mat_of(mats[rows[k]])
+        y = _mat_of(mats[cols[k]])
+        if is_nonelementary(x, y):
+            yield float(jv[k]), x, y
 
 
 def first_violation(gens: GeneratorSet, max_len: int,
@@ -404,8 +394,7 @@ def first_violation(gens: GeneratorSet, max_len: int,
     ascending J is returned as (J, x, y). Used to discard non-discrete
     candidate groups quickly.
     """
-    _, stream = _violations(_ball_elements(gens, max_len), threshold)
-    return next(stream, None)
+    return next(_violations(_ball_elements(gens, max_len), threshold), None)
 
 
 @dataclass(frozen=True)
@@ -423,6 +412,9 @@ def inequality_sweep(gens: GeneratorSet, max_len: int,
                      threshold: float = 1.0 - tol.J_EPS) -> SweepReport:
     """Check J >= threshold for every non-elementary ordered pair in the ball."""
     mats = _ball_elements(gens, max_len)
-    n_candidates, stream = _violations(mats, threshold)
     n = len(mats)
-    return SweepReport(n, n * n, n_candidates, tuple(stream), threshold)
+    # the candidates, pairs with tr [X, Y] != 2, are counted over every row
+    n_candidates = sum(int(np.count_nonzero(dev > tol.COMM_EPS))
+                       for _, dev in _pair_devs(mats, np.arange(n)))
+    violations = tuple(_violations(mats, threshold))
+    return SweepReport(n, n * n, n_candidates, violations, threshold)

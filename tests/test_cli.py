@@ -376,6 +376,7 @@ def test_config_tol_reaches_tolerances(capsys, tmp_path):
     json.dumps({"unknown": 1}),
     json.dumps({"max_len": 17}),
     json.dumps({"max_len": True}),
+    json.dumps({"max_len": 1}),
 ])
 def test_config_rejects_bad_files(capsys, tmp_path, payload):
     cfg = tmp_path / "cfg.json"
@@ -393,6 +394,15 @@ def test_max_len_above_the_ball_cap_is_a_usage_error(capsys, argv):
     # refused before any ball is built, not after the screen reaches 17
     assert main(argv) == 2
     assert capsys.readouterr().err == "error: --max-len must be at most 16\n"
+
+
+@pytest.mark.parametrize("argv", [["link", "20/9", "--max-len", "1"],
+                                  ["knot", "7/3", "--max-len", "1"]])
+def test_screen_length_below_two_is_a_usage_error(capsys, argv):
+    # the screen runs at lengths 2..max_len: at 1 it would screen nothing,
+    # and 20/9 would report a root the default screen rejects at J 0.382
+    assert main(argv) == 2
+    assert "max_len must be at least 2, got 1" in capsys.readouterr().err
 
 
 def test_config_missing_file(capsys):

@@ -250,6 +250,12 @@ def test_root_index_bypasses_the_screen():
         select_geometric_root(TwoBridge(7, 3), root_index=3)
 
 
+def test_screen_length_below_two_is_refused():
+    # range(2, 2) would screen nothing and leave every upper root a survivor
+    with pytest.raises(ValueError, match="below 2"):
+        select_geometric_root(TwoBridge(20, 9), sample_len=1)
+
+
 # ---------------------------------------------------------------------------
 # reports
 

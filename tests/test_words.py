@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from jnum import tolerances as tol
 from jnum import words
 from jnum.catalog import bianchi_generators, knot_table
-from jnum.linalg import Mat2, proj_dist
+from jnum.linalg import Mat2, is_nonelementary, jorgensen_pair, proj_dist
 from jnum.riley import RILEY_A, riley_b
 from jnum.words import (GeneratorSet, Word, ball_levels, evaluate,
                         first_violation, inequality_sweep, min_c_entry,
@@ -198,3 +199,39 @@ def test_inequality_sweep_fig8():
     assert rep.n_pairs == rep.n_elements ** 2
     assert rep.violations == ()
     assert rep.threshold == 1.0 - 1e-9
+
+
+def oracle_sweep(gens, max_len, threshold):
+    """(candidates, ascending J of violations) over every ordered ball pair.
+
+    Each pair goes through jorgensen_pair, the COMM_EPS cut and
+    is_nonelementary one at a time, with no row cut: slow, but plainly
+    the definition.
+    """
+    mats = [words._mat_of(m) for m in words._ball_elements(gens, max_len)]
+    n_candidates, js = 0, []
+    for x in mats:
+        for y in mats:
+            jr = jorgensen_pair(x, y)
+            if abs(jr.commutator_trace - 2.0) <= tol.COMM_EPS:
+                continue
+            n_candidates += 1
+            if jr.value < threshold and is_nonelementary(x, y):
+                js.append(jr.value)
+    return n_candidates, sorted(js)
+
+
+@pytest.mark.parametrize("z,threshold", [(0.1, 2.5), (0.3 + 0.2j, 2.5), (Z8, 5.5)],
+                         ids=["small_c", "z0.3+0.2i", "fig8"])
+def test_inequality_sweep_matches_the_pair_oracle(z, threshold):
+    # thresholds above 1, each at least 0.4 from every J in its ball: the
+    # last two balls hold rows with a defect in [1, threshold) whose pairs
+    # violate, which a sweep cutting its rows at defect < 1 would miss
+    gens = GeneratorSet(("A", "B"), (RILEY_A, riley_b(z)))
+    n_candidates, js = oracle_sweep(gens, 3, threshold)
+    rep = inequality_sweep(gens, 3, threshold)
+    assert rep.n_candidates == n_candidates
+    got = [v[0] for v in rep.violations]
+    assert got == sorted(got)
+    assert len(got) == len(js)
+    assert np.allclose(got, js, rtol=1e-9, atol=0.0)
