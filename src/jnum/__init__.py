@@ -44,14 +44,12 @@ from .catalog import (
 from .intpoly import IntPoly
 from .linalg import (
     IDENT,
-    INF,
     JReport,
     Mat2,
     MobiusClass,
     classify,
     commutator,
     cx_eq,
-    fixed_points,
     is_nonelementary,
     jorgensen_pair,
     proj_dist,
@@ -92,9 +90,8 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # linalg
-    "IDENT", "INF", "JReport", "Mat2", "MobiusClass", "classify",
-    "commutator", "cx_eq", "fixed_points", "is_nonelementary",
-    "jorgensen_pair", "proj_dist",
+    "IDENT", "JReport", "Mat2", "MobiusClass", "classify", "commutator",
+    "cx_eq", "is_nonelementary", "jorgensen_pair", "proj_dist",
     # integer polynomials
     "IntPoly",
     # words and sweeps

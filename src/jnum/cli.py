@@ -444,6 +444,9 @@ def cmd_verify(args, cfg: dict) -> dict:
     inputs = {"suite": args.suite}
     if cap is not None:
         inputs["max_len"] = _cap(args.max_len, cfg, cap)
+    elif args.max_len is not None:  # a config max_len is shared, so not refused
+        takers = " and ".join(n for n, (*_, c) in _SUITES.items() if c is not None)
+        raise UsageError(f"--max-len applies only to {takers}, not {args.suite}")
     try:
         records = run(tols[key], inputs.get("max_len"))
     except SearchError as exc:

@@ -11,13 +11,10 @@ The Jorgensen number of an ordered pair is
 from __future__ import annotations
 
 import math
-import cmath
 from dataclasses import dataclass
 from typing import Optional
 
 from . import tolerances as tol
-
-INF = float("inf")  # the point at infinity on the Riemann sphere
 
 
 def cx_eq(a: complex, b: complex) -> bool:
@@ -152,47 +149,12 @@ def jorgensen_pair(x: Mat2, y: Mat2) -> JReport:
     return JReport(abs(tx * tx - 4.0) + abs(tk - 2.0), (x, y), tk)
 
 
-def fixed_points(m: Mat2) -> set:
-    """Fixed points on C u {inf}: roots of c w^2 + (d - a) w - b = 0.
-
-    The point at infinity is represented by the float INF. Raises on +-I,
-    which fixes everything.
-    """
-    if m.is_identity_proj():
-        raise ValueError("identity fixes every point")
-    a, b, c, d = m.entries()
-    if abs(c) <= tol.CX_EPS:
-        pts = {INF}
-        if not cx_eq(a, d):
-            pts.add(b / (d - a))
-        return pts
-    disc = cmath.sqrt((d - a) ** 2 + 4.0 * b * c)
-    return {(a - d + disc) / (2.0 * c), (a - d - disc) / (2.0 * c)}
-
-
-def _point_dist(p, q) -> float:
-    p_inf = isinstance(p, float) and math.isinf(p)
-    q_inf = isinstance(q, float) and math.isinf(q)
-    if p_inf and q_inf:
-        return 0.0
-    if p_inf or q_inf:
-        return INF
-    return abs(complex(p) - complex(q))
-
-
 def is_nonelementary(x: Mat2, y: Mat2) -> bool:
-    """Heuristic: disjoint fixed-point sets and tr [x, y] != 2.
+    """tr [x, y] != 2 (beyond COMM_EPS), equivalently no common fixed point.
 
-    This is not a complete elementarity classifier (finite subgroups are not
-    detected); it is sufficient for every pair exercised here and is labeled
-    heuristic wherever reported.
+    For x, y != +-I the commutator trace is 2 exactly when x and y share a
+    fixed point (Gehring-Martin, Complex Variables 12, 1989), and +-I gives
+    2 as well. Pairs preserving a two-point set and finite groups are still
+    not detected, so this is not a complete elementarity classifier.
     """
-    if x.is_identity_proj() or y.is_identity_proj():
-        return False
-    fx = fixed_points(x)
-    fy = fixed_points(y)
-    for p in fx:
-        for q in fy:
-            if _point_dist(p, q) <= tol.FIX_EPS:
-                return False
-    return not cx_eq(commutator(x, y).trace, 2.0)
+    return abs(commutator(x, y).trace - 2.0) > tol.COMM_EPS

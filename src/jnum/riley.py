@@ -260,27 +260,33 @@ def solve_roots(poly: IntPoly) -> RootSet:
     Three Newton steps on each simple-rooted part, in real-coefficient
     arithmetic, polish them and keep both properties. The residual
     max |poly(root)| is required to come out below _residual_bound(poly);
-    otherwise SearchError is raised.
+    otherwise, and when a coefficient or a value does not fit a float64,
+    SearchError is raised.
     """
     if poly.is_zero:
         raise ValueError("zero polynomial has every point as a root")
     v = poly.valuation()
     core = poly.shifted_down(v)
     roots = [0.0 + 0.0j] * v
-    if core.degree > 0:
-        for factor, mult in squarefree_factors(core):
-            desc = np.array(factor.coeffs[::-1], dtype=float)
-            z = np.roots(desc).astype(np.complex128)
-            dcoef = np.polyder(desc)
-            for _ in range(3):
-                dv = np.polyval(dcoef, z)
-                safe = np.abs(dv) > tol.DERIV_FLOOR
-                z = np.where(safe, z - np.polyval(desc, z) / np.where(safe, dv, 1.0), z)
-            roots.extend(complex(r) for r in z for _ in range(mult))
-    roots.sort(key=lambda w: (round(w.real, 12), round(w.imag, 12)))
-    residual = max((abs(poly(r)) for r in roots), default=0.0)
-    bound = _residual_bound(poly)
-    if residual > bound:
+    try:
+        bound = _residual_bound(poly)
+        if core.degree > 0:
+            for factor, mult in squarefree_factors(core):
+                desc = np.array(factor.coeffs[::-1], dtype=float)
+                z = np.roots(desc).astype(np.complex128)
+                dcoef = np.polyder(desc)
+                for _ in range(3):
+                    dv = np.polyval(dcoef, z)
+                    safe = np.abs(dv) > tol.DERIV_FLOOR
+                    step = np.polyval(desc, z) / np.where(safe, dv, 1.0)
+                    z = np.where(safe, z - step, z)
+                roots.extend(complex(r) for r in z for _ in range(mult))
+        roots.sort(key=lambda w: (round(w.real, 12), round(w.imag, 12)))
+        residual = max((abs(poly(r)) for r in roots), default=0.0)
+    except OverflowError as exc:  # a coefficient or a value past float64
+        raise SearchError(
+            f"degree-{poly.degree} polynomial leaves float64: {exc}") from None
+    if not residual <= bound:  # a NaN residual fails too
         raise SearchError(
             f"root refinement stalled: residual {residual:.3e} exceeds {bound:.3e}")
     return RootSet(poly, tuple(roots), residual)
@@ -296,7 +302,7 @@ class RootChoice:
     statuses and screen_j run parallel to roots.roots. A root's status is
     "real", "conjugate" (lower half plane), "unscreened" (root_index
     bypassed the screen), "rejected" or "survivor"; screen_j is the J of
-    the confirmed violation that rejected it, None for every other root.
+    the violation that rejected it, None for every other root.
     index is the position of z in roots.roots, None when nothing survived;
     ambiguous means that more than one root survived.
     """
@@ -327,7 +333,7 @@ class RootChoice:
 
 
 def _screen_root(z: complex, sample_len: int) -> Optional[float]:
-    """J value of a confirmed inequality violation for <A, B(z)>, else None."""
+    """J value of an inequality violation for <A, B(z)>, else None."""
     gens = GeneratorSet(("A", "B"), (RILEY_A, riley_b(z)))
     for level in range(2, sample_len + 1):
         hit = first_violation(gens, level, threshold=1.0 - tol.SCREEN_SLACK)
@@ -345,7 +351,7 @@ def select_geometric_root(tb: TwoBridge, root_index: Optional[int] = None,
     representations into PSL2(R), never the discrete faithful one of a
     hyperbolic two-bridge complement). Of each conjugate pair the root in
     the upper half plane is screened by a Jorgensen inequality sweep over
-    <A, B(z)> at word lengths 2..sample_len: a confirmed non-elementary
+    <A, B(z)> at word lengths 2..sample_len: a non-elementary
     pair with J < 1 rejects it. The survivor of smallest modulus is
     chosen. root_index bypasses the screen and picks that position.
     """

@@ -12,7 +12,6 @@ import os
 CX_EPS = 1e-9    # complex scalar equality |a - b| <= CX_EPS
 MAT_EPS = 1e-9   # projective matrix equality min(|M-N|, |M+N|)_inf <= MAT_EPS
 DET_EPS = 1e-9   # determinant drift from 1, relative to max(1, |a d|, |b c|)
-FIX_EPS = 1e-6   # fixed-point set separation for the elementarity heuristic
 J_EPS = 1e-9     # slack in the inequality J >= 1 - J_EPS
 
 ORDER_CAP = 256  # elliptic rotation-order search bound

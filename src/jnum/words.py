@@ -13,8 +13,10 @@ sorted twice. Every hash match is confirmed on the full key, and a level
 where two different keys share a hash is resolved by a full-key sort
 instead. The violation stream behind both inequality checks sweeps only
 the rows X with |tr^2 X - 4| below the threshold, since J is never below
-that defect, and confirms its pairs in ascending J; inequality_sweep
-counts its candidates over every row in a pass of its own.
+that defect, and yields its pairs in ascending J; inequality_sweep counts
+its candidates over every row in a pass of its own. A pair counts as
+non-elementary when |tr [X, Y] - 2| > COMM_EPS, the test of
+linalg.is_nonelementary, decided once in the pair kernel.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tolerances as tol
-from .linalg import IDENT, Mat2, is_nonelementary
+from .linalg import IDENT, Mat2
 
 MAX_BALL_LEN = 16  # the longest word length a ball is built to
 _PAIR_BLOCK = 256  # rows of X per block of the pair kernel
@@ -361,12 +363,14 @@ def _mat_of(row: np.ndarray) -> Mat2:
 
 
 def _violations(mats: np.ndarray, threshold: float):
-    """Confirmed non-elementary (J, x, y) with J below threshold, in ascending J.
+    """Non-elementary (J, x, y) with J below threshold, in ascending J.
 
     J(X, Y) = |tr^2 X - 4| + |tr [X, Y] - 2| is never below the defect
     |tr^2 X - 4|, in floats too, so only rows X with a defect below
-    threshold can violate. Pairs with tr [X, Y] = 2 share a fixed point and
-    are skipped; the rest are confirmed by the full heuristic lazily.
+    threshold can violate. A pair is non-elementary when
+    |tr [X, Y] - 2| > COMM_EPS, as in linalg.is_nonelementary: the pairs
+    at tr [X, Y] = 2 share a fixed point. Mat2 is built only for the
+    pairs yielded.
     """
     tr = mats[:, 0, 0] + mats[:, 1, 1]
     defect = np.abs(tr * tr - 4.0)
@@ -380,18 +384,15 @@ def _violations(mats: np.ndarray, threshold: float):
         return
     jv, rows, cols = (np.concatenate(part) for part in zip(*low))
     for k in np.argsort(jv, kind="stable"):
-        x = _mat_of(mats[rows[k]])
-        y = _mat_of(mats[cols[k]])
-        if is_nonelementary(x, y):
-            yield float(jv[k]), x, y
+        yield float(jv[k]), _mat_of(mats[rows[k]]), _mat_of(mats[cols[k]])
 
 
 def first_violation(gens: GeneratorSet, max_len: int,
                     threshold: float = 1.0 - tol.J_EPS):
-    """Cheapest confirmed non-elementary pair with J below threshold, or None.
+    """Cheapest non-elementary pair with J below threshold, or None.
 
-    Early-exit form of inequality_sweep: the first confirmed violation in
-    ascending J is returned as (J, x, y). Used to discard non-discrete
+    Early-exit form of inequality_sweep: the first violation in ascending
+    J is returned as (J, x, y). Used to discard non-discrete
     candidate groups quickly.
     """
     return next(_violations(_ball_elements(gens, max_len), threshold), None)
@@ -404,7 +405,7 @@ class SweepReport:
     n_elements: int
     n_pairs: int
     n_candidates: int
-    violations: tuple  # confirmed non-elementary (J, x, y) below threshold, ascending J
+    violations: tuple  # non-elementary (J, x, y) below threshold, ascending J
     threshold: float
 
 

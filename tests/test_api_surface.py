@@ -15,6 +15,8 @@ KEPT = {
     "classify": "tests/test_acceptance.py imports it",
     "unit_j_pairs": "tests/test_acceptance.py imports it",
     "min_c_entry": "the planned Shimizu-Leutbecher root screen (|c| >= 1)",
+    "is_nonelementary": "the pair oracle of tests/test_words.py; bench/tracer.py "
+                        "binds it by name",
 }
 
 

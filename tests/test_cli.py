@@ -166,13 +166,22 @@ def test_large_word_fractions_answer_or_refuse(capsys, fraction):
     assert rep["jorgensen"] == pytest.approx(abs(z) if knot else abs(z) ** 2, abs=1e-6)
 
 
-@pytest.mark.parametrize("argv", [["link", "58/1"], ["knot", "101/37"], ["knot", "201/77"]])
+@pytest.mark.parametrize("argv", [["link", "58/1"], ["knot", "101/37"],
+                                  ["knot", "201/77"], ["link", "500/3"]])
 def test_unsolvable_polynomial_is_an_error_envelope(capsys, argv):
     # roots that miss the residual bound are refused, never carried into
-    # a non-finite matrix entry
+    # a non-finite matrix entry; 500/3 has NaN roots, whose NaN residual
+    # is refused too
     code, env = run_json(capsys, argv)
     assert code == 1 and env["status"] == "error"
     assert "residual" in record(env, "error")["message"]
+
+
+def test_polynomial_past_float64_is_an_error_envelope(capsys):
+    # the link polynomial of 1500/7 has coefficients above 1.8e308
+    code, env = run_json(capsys, ["link", "1500/7"])
+    assert code == 1 and env["status"] == "error"
+    assert "float64" in record(env, "error")["message"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -385,15 +394,25 @@ def test_config_rejects_bad_files(capsys, tmp_path, payload):
     capsys.readouterr()
 
 
+UNCAPPED_SUITES = ("bianchi", "losid", "arithcomp", "elliptic", "gtk-families")
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "inequality-sweep", "--max-len", "17"],
     ["verify", "knot-table", "--max-len", "17"],
     ["knot", "7/3", "--max-len", "17"],
+    *(["verify", suite, "--max-len", "99"] for suite in UNCAPPED_SUITES),
 ])
 def test_max_len_above_the_ball_cap_is_a_usage_error(capsys, argv):
-    # refused before any ball is built, not after the screen reaches 17
+    # refused before any ball is built, not after the screen reaches 17;
+    # a suite that builds no word ball takes no --max-len at all
     assert main(argv) == 2
-    assert capsys.readouterr().err == "error: --max-len must be at most 16\n"
+    if argv[1] in UNCAPPED_SUITES:
+        expected = ("error: --max-len applies only to knot-table and "
+                    f"inequality-sweep, not {argv[1]}\n")
+    else:
+        expected = "error: --max-len must be at most 16\n"
+    assert capsys.readouterr().err == expected
 
 
 @pytest.mark.parametrize("argv", [["link", "20/9", "--max-len", "1"],

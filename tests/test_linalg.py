@@ -5,9 +5,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from jnum.linalg import (IDENT, INF, Mat2, classify, commutator,
-                         fixed_points, is_nonelementary, jorgensen_pair,
-                         proj_dist)
+from jnum.linalg import (IDENT, Mat2, classify, commutator, is_nonelementary,
+                         jorgensen_pair, proj_dist)
 
 A = Mat2(1, 1, 0, 1)
 
@@ -69,16 +68,7 @@ def test_classify_hyperbolic_and_loxodromic():
     assert classify(Mat2(w, 0, 0, 1 / w)).kind == "loxodromic"
 
 
-# --- fixed points and elementarity ----------------------------------------
-
-def test_fixed_points():
-    assert fixed_points(A) == {INF}
-    assert fixed_points(lower(1.0)) == {0.0}
-    hyp = fixed_points(Mat2(2, 0, 0, 0.5))
-    assert INF in hyp and any(p == 0 for p in hyp if p is not INF)
-    with pytest.raises(ValueError):
-        fixed_points(IDENT)
-
+# --- elementarity ---------------------------------------------------------
 
 def test_is_nonelementary():
     b = lower(0.5 + 0.8660254037844386j)
@@ -146,3 +136,41 @@ def test_commutator_modulus_invariant_under_nielsen_moves(a, b, c):
         return
     for m in moved:
         assert abs(m - base) <= 1e-9 * (1.0 + base)
+
+
+def _conj(p, m):
+    return p @ m @ p.inv()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(cx, cx, cx, cx, cx, cx, cx)
+def test_pairs_with_a_common_fixed_point_are_elementary(a, b, c, d, pa, pb, pc):
+    # upper-triangular matrices all fix inf, so their conjugates by one P
+    # all fix P(inf): the commutator trace is 2 up to rounding
+    assume(abs(1 + a) >= 0.5 and abs(1 + d) >= 0.5)
+    try:
+        p = _sl2(pa, pb, pc)
+        x = _conj(p, Mat2(1 + a, b, 0, 1 / (1 + a)))
+        y = _conj(p, Mat2(1 + d, c, 0, 1 / (1 + d)))
+    except (ValueError, ZeroDivisionError, OverflowError):
+        return
+    assert not is_nonelementary(x, y)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(cx, cx, cx, cx, cx, cx, cx)
+def test_pairs_without_a_common_fixed_point_are_nonelementary(a, b, c, d, pa, pb, pc):
+    # u = [[e1, b], [0, 1/e1]] fixes inf and b / s1, l = [[e2, 0], [c, 1/e2]]
+    # fixes 0 and s2 / c; with b, c != 0 only the two finite points could
+    # meet, and they are kept 0.1 apart
+    e1, e2 = 1 + a, 1 + d
+    assume(abs(e1) >= 0.5 and abs(e2) >= 0.5 and abs(b) >= 0.1 and abs(c) >= 0.1)
+    s1, s2 = 1 / e1 - e1, e2 - 1 / e2
+    assume(abs(b * c - s1 * s2) >= 0.1 * abs(s1 * c))
+    try:
+        p = _sl2(pa, pb, pc)
+        x = _conj(p, Mat2(e1, b, 0, 1 / e1))
+        y = _conj(p, Mat2(e2, 0, c, 1 / e2))
+    except (ValueError, ZeroDivisionError, OverflowError):
+        return
+    assert is_nonelementary(x, y)

@@ -21,7 +21,7 @@ from jnum.riley import (
     subset_oracle_poly,
     word_matrix,
 )
-from jnum.words import GeneratorSet, first_violation, inequality_sweep
+from jnum.words import GeneratorSet, SearchError, first_violation, inequality_sweep
 
 OMEGA = 0.5 + 0.8660254037844386j  # primitive sixth root of unity
 
@@ -200,6 +200,12 @@ def test_solve_roots_gives_exact_reals_and_conjugate_pairs():
         assert len(roots) == poly.degree
         for z in roots:
             assert z.imag == 0.0 or z.conjugate() in roots, (p, q, z)
+
+
+def test_coefficient_past_float64_is_refused():
+    # 10**400 has no float64 value, so no root can be computed
+    with pytest.raises(SearchError, match="float64"):
+        solve_roots(IntPoly((1, 1, 10 ** 400)))
 
 
 @pytest.mark.parametrize("q,root,index", [(7, -1.0, 4), (17, 1.0, 7)])
