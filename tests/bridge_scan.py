@@ -2,11 +2,12 @@
 
 For every coprime p/q with 5 <= p <= 31 and 0 < q < p, `jnum knot|link p/q
 --json` is run in-process and its exit code, status, selected root index
-and J are recorded. The fixture is a characterization of the program as
-it answers today, not a table of true values: the links whose reported J
-comes from a quotient rather than the group (ROADMAP item 1) are in it as
-they answer now. Regenerate it, after a change meant to move those
-answers, from the repository root with
+and J are recorded, with each root's screen status and screen_j. The
+fixture is a characterization of the program as it answers today, not a
+table of true values: the links whose reported J comes from a quotient
+rather than the group (ROADMAP item 1) are in it as they answer now.
+Regenerate it, after a change meant to move those answers, from the
+repository root with
 
     PYTHONPATH=src python tests/bridge_scan.py
 """
@@ -20,7 +21,8 @@ from pathlib import Path
 from jnum.cli import main
 
 FIXTURE = Path(__file__).parent / "data" / "bridge_scan.json"
-NOTE = ("characterization: exit code, status, selected root index and J of "
+NOTE = ("characterization: exit code, status, selected root index, J and the "
+        "per-root screen statuses and screen_j of "
         "`jnum knot|link p/q --json` for every coprime p/q with 5 <= p <= 31, "
         "as the program answers them, quotient links of ROADMAP item 1 included")
 
@@ -36,11 +38,13 @@ def outcome(p: int, q: int) -> dict:
     with contextlib.redirect_stdout(out):
         code = main([command, f"{p}/{q}", "--json"])
     env = json.loads(out.getvalue())
-    index = next((r["index"] for r in env["results"]
-                  if r["kind"] == "root" and r["selected"]), None)
+    roots = [r for r in env["results"] if r["kind"] == "root"]
+    index = next((r["index"] for r in roots if r["selected"]), None)
     j = next((r["jorgensen"] for r in env["results"] if r["kind"] == "report"), None)
     return {"fraction": f"{p}/{q}", "command": command, "exit": code,
-            "status": env["status"], "index": index, "j": j}
+            "status": env["status"], "index": index, "j": j,
+            "statuses": [r["status"] for r in roots],
+            "screen_j": [r["screen_j"] for r in roots]}
 
 
 def scan() -> list:

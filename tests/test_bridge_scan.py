@@ -28,6 +28,13 @@ def test_every_fraction_answers_as_recorded():
         assert (g["j"] is None) is (w["j"] is None), g["fraction"]
         if w["j"] is not None:
             assert math.isclose(g["j"], w["j"], rel_tol=1e-9, abs_tol=0.0), g["fraction"]
+        # what the screen decided for each root, and the J that rejected it
+        assert g["statuses"] == w["statuses"], g["fraction"]
+        assert [j is None for j in g["screen_j"]] == \
+            [j is None for j in w["screen_j"]], g["fraction"]
+        for gj, wj in zip(g["screen_j"], w["screen_j"]):
+            if wj is not None:
+                assert math.isclose(gj, wj, rel_tol=1e-9, abs_tol=0.0), g["fraction"]
         if g["status"] == "ok":
             # Jorgensen's inequality: no discrete non-elementary group has J < 1
             assert g["j"] >= 1.0 - tol.J_EPS, g["fraction"]
