@@ -275,11 +275,13 @@ def solve_roots(poly: IntPoly) -> RootSet:
                 desc = np.array(factor.coeffs[::-1], dtype=float)
                 z = np.roots(desc).astype(np.complex128)
                 dcoef = np.polyder(desc)
-                for _ in range(3):
-                    dv = np.polyval(dcoef, z)
-                    safe = np.abs(dv) > tol.DERIV_FLOOR
-                    step = np.polyval(desc, z) / np.where(safe, dv, 1.0)
-                    z = np.where(safe, z - step, z)
+                # an overflowing polish leaves NaN roots; the residual check refuses them
+                with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                    for _ in range(3):
+                        dv = np.polyval(dcoef, z)
+                        safe = np.abs(dv) > tol.DERIV_FLOOR
+                        step = np.polyval(desc, z) / np.where(safe, dv, 1.0)
+                        z = np.where(safe, z - step, z)
                 roots.extend(complex(r) for r in z for _ in range(mult))
         roots.sort(key=lambda w: (round(w.real, 12), round(w.imag, 12)))
         residual = max((abs(poly(r)) for r in roots), default=0.0)
@@ -332,16 +334,6 @@ class RootChoice:
         return len(self.survivors) > 1
 
 
-def _screen_root(z: complex, sample_len: int) -> Optional[float]:
-    """J value of an inequality violation for <A, B(z)>, else None."""
-    gens = GeneratorSet(("A", "B"), (RILEY_A, riley_b(z)))
-    for level in range(2, sample_len + 1):
-        hit = first_violation(gens, level, threshold=1.0 - tol.SCREEN_SLACK)
-        if hit is not None:
-            return hit[0]
-    return None
-
-
 def select_geometric_root(tb: TwoBridge, root_index: Optional[int] = None,
                           sample_len: int = SCREEN_LEN) -> RootChoice:
     """Build and solve the representation polynomial, then pick the geometric root.
@@ -350,10 +342,11 @@ def select_geometric_root(tb: TwoBridge, root_index: Optional[int] = None,
     and decides each root's status. Real roots are discarded (they give
     representations into PSL2(R), never the discrete faithful one of a
     hyperbolic two-bridge complement). Of each conjugate pair the root in
-    the upper half plane is screened by a Jorgensen inequality sweep over
-    <A, B(z)> at word lengths 2..sample_len: a non-elementary
-    pair with J < 1 rejects it. The survivor of smallest modulus is
-    chosen. root_index bypasses the screen and picks that position.
+    the upper half plane is screened by first_violation on <A, B(z)>: one
+    ball of radius sample_len, swept at radii 2..sample_len in turn, where a
+    non-elementary pair with J < 1 - SCREEN_SLACK rejects it. The survivor
+    of smallest modulus is chosen. root_index bypasses the screen and picks
+    that position.
     """
     if sample_len < 2:
         raise ValueError(f"screen length {sample_len} below 2 would screen nothing")
@@ -375,8 +368,9 @@ def select_geometric_root(tb: TwoBridge, root_index: Optional[int] = None,
         elif root_index is not None:
             status = "unscreened"
         else:
-            bad_j = _screen_root(r, sample_len)
-            status = "survivor" if bad_j is None else "rejected"
+            hit = first_violation(GeneratorSet(("A", "B"), (RILEY_A, riley_b(r))),
+                                  sample_len, 1.0 - tol.SCREEN_SLACK)
+            status, bad_j = ("survivor", None) if hit is None else ("rejected", hit[0])
         statuses.append(status)
         screen_j.append(bad_j)
     if root_index is None:
@@ -420,10 +414,6 @@ class BridgeReport:
     @property
     def z(self) -> complex:
         return self.choice.z
-
-    @property
-    def ambiguous(self) -> bool:
-        return self.choice.ambiguous
 
 
 def _bridge_jreport(tb: TwoBridge, root_index: Optional[int],

@@ -30,6 +30,7 @@ from .linalg import IDENT, Mat2
 
 MAX_BALL_LEN = 16  # the longest word length a ball is built to
 _PAIR_BLOCK = 256  # rows of X per block of the pair kernel
+_PAIR_ENTRIES = 1 << 22  # most pairs one block forms, so a big ball takes fewer rows
 
 
 class SearchError(RuntimeError):
@@ -349,8 +350,9 @@ def _pair_devs(mats: np.ndarray, rows: np.ndarray):
     """
     tr = mats[:, 0, 0] + mats[:, 1, 1]
     tr2 = tr * tr
-    for start in range(0, len(rows), _PAIR_BLOCK):
-        r = rows[start:start + _PAIR_BLOCK]
+    block = min(_PAIR_BLOCK, max(1, _PAIR_ENTRIES // len(mats)))
+    for start in range(0, len(rows), block):
+        r = rows[start:start + block]
         tr_xy = np.einsum("aij,bji->ab", mats[r], mats)
         comm = (tr2[r, None] + tr2[None, :] + tr_xy * tr_xy
                 - tr[r, None] * tr[None, :] * tr_xy - 2.0)
@@ -389,13 +391,20 @@ def _violations(mats: np.ndarray, threshold: float):
 
 def first_violation(gens: GeneratorSet, max_len: int,
                     threshold: float = 1.0 - tol.J_EPS):
-    """Cheapest non-elementary pair with J below threshold, or None.
+    """Cheapest violation in the smallest ball of radius 2..max_len that has one.
 
-    Early-exit form of inequality_sweep: the first violation in ascending
-    J is returned as (J, x, y). Used to discard non-discrete
-    candidate groups quickly.
+    One ball is built to max_len and its radii 2, 3, ... are swept in
+    turn; the first non-elementary pair with J below threshold, in
+    ascending J, is returned as (J, x, y), else None.
     """
-    return next(_violations(_ball_elements(gens, max_len), threshold), None)
+    if max_len < 2:
+        raise ValueError(f"max_len {max_len} below 2: the smallest radius swept is 2")
+    levels = ball_levels(gens, max_len)
+    for radius in range(2, max_len + 1):
+        hit = next(_violations(np.concatenate(levels[1:radius + 1]), threshold), None)
+        if hit is not None:
+            return hit
+    return None
 
 
 @dataclass(frozen=True)

@@ -166,12 +166,13 @@ def test_large_word_fractions_answer_or_refuse(capsys, fraction):
     assert rep["jorgensen"] == pytest.approx(abs(z) if knot else abs(z) ** 2, abs=1e-6)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("argv", [["link", "58/1"], ["knot", "101/37"],
                                   ["knot", "201/77"], ["link", "500/3"]])
 def test_unsolvable_polynomial_is_an_error_envelope(capsys, argv):
     # roots that miss the residual bound are refused, never carried into
     # a non-finite matrix entry; 500/3 has NaN roots, whose NaN residual
-    # is refused too
+    # is refused too, without a numpy warning from the overflowing polish
     code, env = run_json(capsys, argv)
     assert code == 1 and env["status"] == "error"
     assert "residual" in record(env, "error")["message"]

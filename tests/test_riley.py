@@ -4,10 +4,12 @@ import math
 
 import pytest
 
+from jnum import words
 from jnum.intpoly import IntPoly
 from jnum.linalg import classify
 from jnum.riley import (
     RILEY_A,
+    SCREEN_LEN,
     GeometricRootError,
     TwoBridge,
     knot_jreport,
@@ -272,7 +274,7 @@ def test_knot_report_figure_eight():
     assert abs(rep.z - OMEGA) <= 1e-12
     assert rep.waist == pytest.approx(1.0, abs=1e-12)
     assert rep.poly == knot_poly(5, 3)
-    assert not rep.ambiguous
+    assert not rep.choice.ambiguous
     assert [classify(m).kind for m in rep.pair.pair] == ["parabolic", "loxodromic"]
 
 
@@ -346,12 +348,35 @@ def test_report_carries_its_choice():
 
 @pytest.mark.parametrize("z, violated", [(0.1, True), (OMEGA, False)])
 def test_first_violation_is_the_cheapest_sweep_violation(z, violated):
-    # both come from one stream of pair candidates confirmed in ascending J
+    # at z = 0.1 the least J is 0.0100 at radius 2 and 1.0e-4 at radius 3:
+    # the radius-3 screen stops at radius 2 and returns that ball's cheapest
     gens = GeneratorSet(("A", "B"), (RILEY_A, riley_b(z)))
     hit = first_violation(gens, 3)
-    violations = inequality_sweep(gens, 3).violations
-    assert bool(violations) is violated
-    assert (hit is None) is (not violations)
+    radius2 = inequality_sweep(gens, 2).violations
+    radius3 = inequality_sweep(gens, 3).violations
+    assert bool(radius3) is violated
+    assert (hit is None) is (not radius3)
     if violated:
-        assert hit[0] == min(v[0] for v in violations)
-        assert [v[0] for v in violations] == sorted(v[0] for v in violations)
+        assert hit[0] == min(v[0] for v in radius2)
+        assert min(v[0] for v in radius3) < hit[0]
+
+
+def test_first_violation_refuses_a_radius_below_two():
+    gens = GeneratorSet(("A", "B"), (RILEY_A, riley_b(0.1)))
+    with pytest.raises(ValueError, match="below 2"):
+        first_violation(gens, 1)
+
+
+def test_screen_builds_one_ball_per_root(monkeypatch):
+    # 7/3 screens one root; its radii 2..6 are all read from one ball
+    calls = []
+    ball_levels = words.ball_levels
+
+    def counted(gens, max_len):
+        calls.append(max_len)
+        return ball_levels(gens, max_len)
+
+    monkeypatch.setattr(words, "ball_levels", counted)
+    ch = select_geometric_root(TwoBridge(7, 3))
+    assert ch.statuses.count("survivor") == 1
+    assert calls == [SCREEN_LEN]

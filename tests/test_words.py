@@ -235,3 +235,15 @@ def test_inequality_sweep_matches_the_pair_oracle(z, threshold):
     assert got == sorted(got)
     assert len(got) == len(js)
     assert np.allclose(got, js, rtol=1e-9, atol=0.0)
+
+
+def test_pair_blocks_stay_under_the_entry_cap():
+    # past 16,384 elements a block of 256 rows would hold more than 2^22
+    # pairs, so the kernel takes fewer rows per block instead
+    n = 20_000
+    mats = np.tile(np.eye(2, dtype=np.complex128), (n, 1, 1))
+    rows = np.arange(0, n, 40)
+    blocks = [(r, dev.shape) for r, dev in words._pair_devs(mats, rows)]
+    assert all(len(r) * n <= 1 << 22 and shape == (len(r), n) for r, shape in blocks)
+    assert len(blocks[0][0]) < words._PAIR_BLOCK
+    assert np.array_equal(np.concatenate([r for r, _ in blocks]), rows)
