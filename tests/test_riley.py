@@ -359,6 +359,7 @@ def test_first_violation_is_the_cheapest_sweep_violation(z, violated):
     if violated:
         assert hit[0] == min(v[0] for v in radius2)
         assert min(v[0] for v in radius3) < hit[0]
+        assert [v[0] for v in radius3] == sorted(v[0] for v in radius3)
 
 
 def test_first_violation_refuses_a_radius_below_two():
