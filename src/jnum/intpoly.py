@@ -150,13 +150,26 @@ class IntPoly:
         return IntPoly(_trim(quo))
 
 
-def squarefree_factors(poly: IntPoly) -> tuple:
-    """((a_1, 1), (a_2, 2), ...): poly = c a_1 a_2^2 a_3^3 ... by Yun's algorithm.
+_PRETEST_PRIME = 2 ** 61 - 1  # the word-size prime of the square-free pre-test
 
-    The a_i are square-free and pairwise coprime, so every root of a_i is a
-    root of poly of multiplicity exactly i; only factors of positive degree
-    are listed. A square-free poly comes back unchanged as ((poly, 1),).
-    """
+
+def _gcd_degree_mod(a: tuple, b: tuple, prime: int) -> int:
+    """Degree of gcd(a mod prime, b mod prime) over F_prime; -1 if both vanish."""
+    a = list(_trim(c % prime for c in a))
+    b = list(_trim(c % prime for c in b))
+    while b:
+        inv = pow(b[-1], -1, prime)
+        while len(a) >= len(b):
+            head, shift = a[-1] * inv % prime, len(a) - len(b)
+            a[shift:] = [(x - head * y) % prime for x, y in zip(a[shift:], b)]
+            while a and a[-1] == 0:
+                a.pop()
+        a, b = b, a
+    return len(a) - 1
+
+
+def _yun(poly: IntPoly) -> tuple:
+    """Yun's square-free split in exact integer arithmetic."""
     deriv = poly.derivative()
     common = poly.gcd(deriv)
     if common.degree <= 0:
@@ -172,3 +185,22 @@ def squarefree_factors(poly: IntPoly) -> tuple:
         mult += 1
         d = c - b.derivative()
     return tuple(out)
+
+
+def squarefree_factors(poly: IntPoly) -> tuple:
+    """((a_1, 1), (a_2, 2), ...): poly = c a_1 a_2^2 a_3^3 ... by Yun's algorithm.
+
+    The a_i are square-free and pairwise coprime, so every root of a_i is a
+    root of poly of multiplicity exactly i; only factors of positive degree
+    are listed. A square-free poly comes back unchanged as ((poly, 1),).
+
+    A pre-test runs first: when the prime does not divide the leading
+    coefficient, a repeated factor of poly over Q stays a repeated factor
+    mod the prime, so a constant gcd(poly, poly') over F_prime proves poly
+    square-free without the exact gcd. Otherwise Yun decides.
+    """
+    if (poly.degree > 0 and poly.coeffs[-1] % _PRETEST_PRIME
+            and _gcd_degree_mod(poly.coeffs, poly.derivative().coeffs,
+                                _PRETEST_PRIME) == 0):
+        return ((poly, 1),)
+    return _yun(poly)

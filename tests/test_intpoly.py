@@ -1,8 +1,12 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jnum import intpoly
 from jnum.intpoly import IntPoly, squarefree_factors
+from jnum.riley import knot_poly, link_poly
 
 
 def test_construction_trims_and_normalizes():
@@ -73,6 +77,50 @@ def test_squarefree_factors_by_multiplicity():
     # a square-free polynomial comes back as it is, sign and content too
     neg = IntPoly((-2,)) * other
     assert squarefree_factors(neg) == ((neg, 1),)
+
+
+def test_pretest_returns_yuns_factors_on_every_scan_polynomial():
+    repeated = []
+    for p in range(5, 32):
+        for q in range(1, p):
+            if math.gcd(p, q) != 1:
+                continue
+            poly = knot_poly(p, q) if p % 2 else link_poly(p, q).normalized
+            factors = squarefree_factors(poly)
+            assert factors == intpoly._yun(poly), (p, q)
+            if any(mult > 1 for _, mult in factors):
+                repeated.append((p, q))
+    assert {(24, 7), (24, 17)} <= set(repeated)
+
+
+P = intpoly._PRETEST_PRIME
+LIN, QUAD, OTHER = IntPoly((1, 1)), IntPoly((1, 0, 1)), IntPoly((-3, 0, 2))
+
+
+@pytest.mark.parametrize("poly,want", [
+    # square-free over Q, but (z - 1)(z - 1 - P) is (z - 1)^2 mod P
+    (IntPoly((-1, 1)) * IntPoly((-1 - P, 1)), None),
+    # P divides the leading coefficient, so the pre-test cannot speak
+    (IntPoly((1, 0, P)), None),
+    (OTHER * QUAD * QUAD, ((OTHER, 1), (QUAD, 2))),
+    (LIN * LIN * LIN * QUAD, ((QUAD, 1), (LIN, 3))),
+], ids=["square-mod-p", "p-divides-lead", "squared-factor", "cubed-factor"])
+def test_pretest_leaves_repeated_factors_to_yun(monkeypatch, poly, want):
+    calls, yun = [], intpoly._yun
+
+    def spy(f):
+        calls.append(f)
+        return yun(f)
+
+    monkeypatch.setattr(intpoly, "_yun", spy)
+    assert squarefree_factors(poly) == (want or ((poly, 1),))
+    assert calls == [poly]
+
+
+def test_pretest_skips_yun_on_a_square_free_polynomial(monkeypatch):
+    monkeypatch.setattr(intpoly, "_yun", None)
+    poly = IntPoly((-1,)) * OTHER * QUAD * LIN
+    assert squarefree_factors(poly) == ((poly, 1),)
 
 
 coeffs = st.lists(st.integers(min_value=-50, max_value=50), max_size=8)

@@ -181,6 +181,74 @@ def test_min_loxodromic_defect_fig8_depth2():
     assert abs(d - math.sqrt(13.0)) <= 1e-9
 
 
+TABLE_KNOTS = [row.label for row in knot_table()]
+
+
+def _burnside_necklaces(n):
+    """Cyclically reduced F_2 necklaces of length n: (1/n) sum_{d|n} phi(n/d) CR(d),
+    with CR(d) = 3^d + 1 + (1 + (-1)^d) the cyclically reduced words of length d."""
+    def phi(m):
+        return sum(1 for k in range(1, m + 1) if math.gcd(k, m) == 1)
+    total = sum(phi(n // d) * (3 ** d + 1 + (1 + (-1) ** d))
+                for d in range(1, n + 1) if n % d == 0)
+    assert total % n == 0
+    return total // n
+
+
+def test_necklace_counts_match_burnside():
+    counts = [len(words._necklace_traces(FIG8, n)) for n in range(1, 13)]
+    per_length = [counts[0]] + [b - a for a, b in zip(counts, counts[1:])]
+    assert per_length == [_burnside_necklaces(n) for n in range(1, 13)]
+    assert per_length[:4] == [4, 8, 12, 26] and per_length[-1] == 44370
+    assert counts[-1] == 69996
+
+
+def _ball_defect(gens, max_len):
+    mats = words._ball_elements(gens, max_len)
+    traces = mats[:, 0, 0] + mats[:, 1, 1]
+    return words._primitive_min_defect(traces[words._loxodromic_mask(traces)])
+
+
+@pytest.mark.parametrize("label", TABLE_KNOTS)
+def test_necklace_defect_matches_the_ball(label):
+    gens = _table_group(label)
+    for max_len in range(2, 10):
+        assert abs(min_loxodromic_defect(gens, max_len)
+                   - _ball_defect(gens, max_len)) <= 1e-9, max_len
+
+
+def _sign_canonical(traces):
+    t = traces.copy()
+    t[(t.real < -tol.ROUND_EPS)
+      | ((np.abs(t.real) <= tol.ROUND_EPS) & (t.imag < 0))] *= -1
+    return t
+
+
+def _farthest_from(points, targets):
+    """max over points of the distance to the nearest target."""
+    return max(np.abs(block[:, None] - targets[None, :]).min(axis=1).max()
+               for block in np.array_split(points, max(1, len(points) // 1024)))
+
+
+@pytest.mark.parametrize("label", TABLE_KNOTS)
+def test_necklace_traces_are_the_ball_trace_set(label):
+    gens = _table_group(label)
+    mats = words._ball_elements(gens, 8)
+    ball = np.unique(_sign_canonical(mats[:, 0, 0] + mats[:, 1, 1]))
+    necklace = np.unique(_sign_canonical(words._necklace_traces(gens, 8)))
+    assert _farthest_from(ball, necklace) <= tol.CLASS_EPS
+    assert _farthest_from(necklace, ball) <= tol.CLASS_EPS
+
+
+def test_min_loxodromic_defect_refuses_short_and_overlong_lengths():
+    with pytest.raises(words.SearchError, match="empty ball"):
+        min_loxodromic_defect(FIG8, 0)
+    with pytest.raises(words.SearchError, match="no loxodromic element"):
+        min_loxodromic_defect(FIG8, 1)
+    with pytest.raises(ValueError):
+        min_loxodromic_defect(FIG8, words.MAX_BALL_LEN + 1)
+
+
 def test_first_violation_finds_small_c():
     gens = GeneratorSet(("A", "B"), (RILEY_A, riley_b(0.1)))
     hit = first_violation(gens, 2)
