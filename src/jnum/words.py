@@ -4,20 +4,16 @@ inequality checks.
 
 The aggregate operations min_c_entry, first_violation and
 inequality_sweep walk a breadth-first ball of group elements with
-projective dedup on a 1e-6 quantization grid; min_loxodromic_defect takes
-the ball's trace set from cyclically reduced necklaces instead. Each
-element's grid key is hashed to one 64-bit integer; the seen elements are
-kept sorted by hash, each level's new elements are found by a sort of its
-own hashes and a binary search into the seen ones, and are merged in at
-their positions, so no key is sorted twice. Every hash match is confirmed
-on the full key, and a level where two different keys share a hash is
-resolved by a full-key sort instead. The violation stream behind both
-inequality checks sweeps only the rows X with |tr^2 X - 4| below the
-threshold, since J is never below that defect, and yields its pairs in
-ascending J; inequality_sweep counts its candidates over every row in a
-pass of its own. A pair counts as non-elementary when |tr [X, Y] - 2| >
-COMM_EPS, the test of linalg.is_nonelementary, decided once in the pair
-kernel.
+projective dedup on a 1e-6 quantization grid; min_loxodromic_defect
+takes the ball's trace set from cyclically reduced necklaces instead. A
+Python set holds the grid key of every element seen so far, and each
+level keeps the first candidate, in order, of each key not yet in it.
+The violation stream behind both inequality checks sweeps only the rows
+X with |tr^2 X - 4| below the threshold, since J is never below that
+defect, and yields its pairs in ascending J; inequality_sweep counts its
+candidates over every row in a pass of its own. A pair counts as
+non-elementary when |tr [X, Y] - 2| > COMM_EPS, the test of
+linalg.is_nonelementary, decided once in the pair kernel.
 """
 
 from __future__ import annotations
@@ -162,53 +158,6 @@ def _canonical_keys(mats: np.ndarray) -> np.ndarray:
     return q
 
 
-# odd per-column multipliers and the murmur3 fmix64 finaliser of _key_hash
-_HASH_MULT = tuple(np.uint64(m) for m in (
-    0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F, 0x165667B19E3779F9, 0xD6E8FEB86659FD93,
-    0xFF51AFD7ED558CCD, 0xC4CEB9FE1A85EC53, 0x94D049BB133111EB, 0xBF58476D1CE4E5B9))
-_FMIX = (np.uint64(0xFF51AFD7ED558CCD), np.uint64(0xC4CEB9FE1A85EC53))
-
-
-def _key_hash(keys: np.ndarray) -> np.ndarray:
-    """One uint64 per key row: odd per-column multipliers (mod 2^64), then a mix."""
-    cols = keys.view(np.uint64)
-    h = cols[:, 0] * _HASH_MULT[0]
-    term = np.empty_like(h)
-    for j in range(1, 8):
-        np.multiply(cols[:, j], _HASH_MULT[j], out=term)
-        h += term
-    for mult in _FMIX:
-        h ^= h >> np.uint64(33)
-        h *= mult
-    h ^= h >> np.uint64(33)
-    return h
-
-
-def _fresh_rows(seen_h: np.ndarray, seen_k: np.ndarray, hashes: np.ndarray,
-                keys: np.ndarray):
-    """Rows of keys that are first occurrences and not in seen, in hash order.
-
-    seen_h is sorted and seen_k holds the keys in the same order. Returns
-    the row indices with their hashes sorted ascending, or None when two
-    different keys share a hash, which the caller resolves exactly.
-    """
-    order = np.argsort(hashes, kind="stable")
-    hs = hashes[order]
-    same = hs[1:] == hs[:-1]
-    pairs = np.flatnonzero(same)
-    if not (keys[order[pairs]] == keys[order[pairs + 1]]).all():
-        return None
-    head = np.ones(len(hs), dtype=bool)
-    head[1:] = ~same
-    rows, hs = order[head], hs[head]
-    pos = np.searchsorted(seen_h, hs)
-    hit = pos < len(seen_h)
-    hit[hit] = seen_h[pos[hit]] == hs[hit]
-    if not (seen_k[pos[hit]] == keys[rows[hit]]).all():
-        return None
-    return rows[~hit], hs[~hit]
-
-
 def ball_levels(gens: GeneratorSet, max_len: int):
     """Breadth-first ball of group elements, one (n,2,2) array per radius.
 
@@ -221,8 +170,7 @@ def ball_levels(gens: GeneratorSet, max_len: int):
     syms = _symbol_array(gens)
     ns = len(syms)
     ident = np.eye(2, dtype=np.complex128)[None]
-    seen_k = _canonical_keys(ident)  # keys of every element so far, by hash
-    seen_h = _key_hash(seen_k)       # their hashes, sorted
+    seen = {_canonical_keys(ident).tobytes()}  # grid keys of every element so far
     levels = [ident]
     frontier = ident
     last = np.full(1, -1, dtype=np.int64)
@@ -232,24 +180,14 @@ def ball_levels(gens: GeneratorSet, max_len: int):
         # each element times every symbol but the inverse of its last one
         src, nxt = np.nonzero(np.arange(ns) != (last[:, None] ^ 1))
         cand = np.einsum("nij,njk->nik", frontier[src], syms[nxt])
-        cand_last = nxt
-        keys = _canonical_keys(cand)
-        hashes = _key_hash(keys)
-        fresh = _fresh_rows(seen_h, seen_k, hashes, keys)
-        if fresh is None:  # a hash collision: first occurrences by full-key sort
-            n_seen = len(seen_k)
-            _, first = np.unique(np.concatenate((seen_k, keys)), axis=0,
-                                 return_index=True)
-            rows = first[first >= n_seen] - n_seen
-            rows = rows[np.argsort(hashes[rows], kind="stable")]
-            fresh = rows, hashes[rows]
-        rows, new_h = fresh
-        pos = np.searchsorted(seen_h, new_h)
-        seen_h = np.insert(seen_h, pos, new_h)
-        seen_k = np.insert(seen_k, pos, keys[rows], axis=0)
-        keep = np.sort(rows)
+        keep = []  # first occurrence of each unseen key, in candidate order
+        # each 8 x int64 key row as one 64-byte bytes object
+        for i, key in enumerate(_canonical_keys(cand).view("V64")[:, 0].tolist()):
+            if key not in seen:
+                seen.add(key)
+                keep.append(i)
         frontier = cand[keep]
-        last = cand_last[keep]
+        last = nxt[keep]
         levels.append(frontier)
     return levels
 

@@ -14,7 +14,7 @@ KEPT = {
     "word_matrix": "reference oracle for W; bench/tracer.py binds it by name",
     "classify": "tests/test_acceptance.py imports it",
     "unit_j_pairs": "tests/test_acceptance.py imports it",
-    "min_c_entry": "the planned Shimizu-Leutbecher root screen (|c| >= 1)",
+    "min_c_entry": "the planned cusp scan of ROADMAP item 7 (|c| >= 1)",
     "is_nonelementary": "the pair oracle of tests/test_words.py; bench/tracer.py "
                         "binds it by name",
 }

@@ -117,6 +117,7 @@ ORACLE_GROUPS = [
     ("torsion", lambda: GeneratorSet(("S", "T"), (Mat2(0, -1, 1, 0), Mat2(1, 1j, 0, 1))), 2),
     ("bianchi3", lambda: bianchi_generators(3), 6),
     ("5_2", lambda: _table_group("5_2"), 9),
+    ("12/5", lambda: GeneratorSet(("A", "B"), (RILEY_A, riley_b(1j))), 6),
 ]
 
 
@@ -132,40 +133,10 @@ def test_ball_levels_match_the_full_sort_oracle(name, make, length):
     assert_same_levels(ball_levels(gens, length), oracle_ball_levels(gens, length))
 
 
-@pytest.mark.parametrize("degenerate", [
-    lambda keys: (keys[:, 0] & 3).astype(np.uint64),
-    lambda keys: ((keys[:, 0] ^ keys[:, 3]) & 0x3FF).astype(np.uint64),
-], ids=["two_bits", "ten_bits"])
-def test_ball_levels_are_exact_under_hash_collisions(monkeypatch, degenerate):
-    # a hash with a handful of values makes unequal keys share a hash on
-    # most levels: the full-key confirmation must resolve every one
-    collisions = []
-
-    def spy(keys):
-        h = degenerate(keys)
-        collisions.append(len(np.unique(h)) < len(np.unique(keys, axis=0)))
-        return h
-
-    monkeypatch.setattr(words, "_key_hash", spy)
-    for name, make, length in ORACLE_GROUPS:
-        gens = make()
-        assert_same_levels(ball_levels(gens, length), oracle_ball_levels(gens, length))
-    assert any(collisions)
-
-
-def test_fresh_rows_defers_a_hash_shared_with_a_different_seen_key():
-    ident = np.array([[1, 0, 0, 0, 0, 0, 1, 0]], dtype=np.int64)
-    other = np.array([[2, 0, 0, 0, 0, 0, 1, 0]], dtype=np.int64)
-    seen_h = np.array([7], dtype=np.uint64)
-    h7 = np.array([7], dtype=np.uint64)
-    rows, new_h = words._fresh_rows(seen_h, ident, h7, ident)
-    assert len(rows) == 0 and len(new_h) == 0
-    rows, new_h = words._fresh_rows(seen_h, ident, np.array([8], dtype=np.uint64), other)
-    assert rows.tolist() == [0] and new_h.tolist() == [8]
-    assert words._fresh_rows(seen_h, ident, h7, other) is None
-    both = np.concatenate((ident, other))
-    assert words._fresh_rows(seen_h[:0], ident[:0], np.array([3, 3], dtype=np.uint64),
-                             both) is None
+def test_ball_levels_refuses_an_overlong_length_and_stops_at_the_identity():
+    with pytest.raises(ValueError):
+        ball_levels(FIG8, words.MAX_BALL_LEN + 1)
+    assert_same_levels(ball_levels(FIG8, 0), [np.eye(2, dtype=np.complex128)[None]])
 
 
 # --- invariants over the ball -------------------------------------------------
