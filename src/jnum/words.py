@@ -10,10 +10,13 @@ Python set holds the grid key of every element seen so far, and each
 level keeps the first candidate, in order, of each key not yet in it.
 The violation stream behind both inequality checks sweeps only the rows
 X with |tr^2 X - 4| below the threshold, since J is never below that
-defect, and yields its pairs in ascending J; inequality_sweep counts its
-candidates over every row in a pass of its own. A pair counts as
-non-elementary when |tr [X, Y] - 2| > COMM_EPS, the test of
-linalg.is_nonelementary, decided once in the pair kernel.
+defect, and yields its pairs in ascending J. The pair kernel forms the
+traces tr XY of a block of rows against all columns as one complex GEMM
+of (n, 4) entry arrays. inequality_sweep counts its candidates over the
+upper triangle of pairs and doubles the off-diagonal part, since
+|tr [X, Y] - 2| is symmetric in X and Y. A pair counts as non-elementary
+when |tr [X, Y] - 2| > COMM_EPS, the test of linalg.is_nonelementary,
+decided once in the pair kernel.
 """
 
 from __future__ import annotations
@@ -321,22 +324,32 @@ def min_loxodromic_defect(gens: GeneratorSet, max_len: int) -> float:
     return _primitive_min_defect(lox)
 
 
-def _pair_devs(mats: np.ndarray, rows: np.ndarray):
+def _pair_devs(mats: np.ndarray, rows: np.ndarray, upper: bool = False):
     """Yield (block of rows, |tr [X, Y] - 2|) for X in mats[rows], Y in mats.
 
+    With upper, the Y of a block r run over mats[r[0]:] only: for rows
+    0..n-1 that is the upper triangle of pairs, diagonal blocks included.
     Uses the trace identity
-        tr [X, Y] = tr^2 X + tr^2 Y + tr^2 XY - tr X tr Y tr XY - 2
-    so only traces of pairwise products are formed, never the products.
+        tr [X, Y] - 2 = tr XY (tr XY - tr X tr Y) + (tr^2 X - 4) + tr^2 Y
+    so only traces of pairwise products are formed, never the products:
+    tr XY = sum X_ij Y_ji is one complex GEMM of the (n, 4) entries of X
+    with the (4, n) entries of the transposed Y.
     """
     tr = mats[:, 0, 0] + mats[:, 1, 1]
     tr2 = tr * tr
-    block = min(_PAIR_BLOCK, max(1, _PAIR_ENTRIES // len(mats)))
+    flat = mats.reshape(len(mats), 4)
+    flat_t = np.ascontiguousarray(mats.transpose(0, 2, 1).reshape(len(mats), 4).T)
+    block = min(_PAIR_BLOCK, max(1, _PAIR_ENTRIES // max(1, len(mats))))
     for start in range(0, len(rows), block):
         r = rows[start:start + block]
-        tr_xy = np.einsum("aij,bji->ab", mats[r], mats)
-        comm = (tr2[r, None] + tr2[None, :] + tr_xy * tr_xy
-                - tr[r, None] * tr[None, :] * tr_xy - 2.0)
-        yield r, np.abs(comm - 2.0)
+        lo = r[0] if upper else 0
+        tr_xy = flat[r] @ flat_t[:, lo:]
+        comm = np.multiply.outer(tr[r], tr[lo:])
+        np.subtract(tr_xy, comm, out=comm)
+        comm *= tr_xy
+        comm += (tr2[r] - 4.0)[:, None]
+        comm += tr2[lo:]
+        yield r, np.abs(comm)
 
 
 def _mat_of(row: np.ndarray) -> Mat2:
@@ -401,10 +414,17 @@ class SweepReport:
 def inequality_sweep(gens: GeneratorSet, max_len: int,
                      threshold: float = 1.0 - tol.J_EPS) -> SweepReport:
     """Check J >= threshold for every non-elementary ordered pair in the ball."""
+    if max_len < 1:
+        raise ValueError(f"max_len {max_len} below 1: the ball has no pairs")
     mats = _ball_elements(gens, max_len)
     n = len(mats)
-    # the candidates, pairs with tr [X, Y] != 2, are counted over every row
-    n_candidates = sum(int(np.count_nonzero(dev > tol.COMM_EPS))
-                       for _, dev in _pair_devs(mats, np.arange(n)))
+    # the candidates, pairs with tr [X, Y] != 2, are counted over the upper
+    # triangle, as |tr [X, Y] - 2| is symmetric and 0 on the diagonal: each
+    # block's square diagonal part once, the part to its right twice
+    n_candidates = 0
+    for rows, dev in _pair_devs(mats, np.arange(n), upper=True):
+        cand = dev > tol.COMM_EPS
+        n_candidates += (int(np.count_nonzero(cand[:, :len(rows)]))
+                         + 2 * int(np.count_nonzero(cand[:, len(rows):])))
     violations = tuple(_violations(mats, threshold))
     return SweepReport(n, n * n, n_candidates, violations, threshold)

@@ -278,11 +278,52 @@ def test_inequality_sweep_matches_the_pair_oracle(z, threshold):
 
 def test_pair_blocks_stay_under_the_entry_cap():
     # past 16,384 elements a block of 256 rows would hold more than 2^22
-    # pairs, so the kernel takes fewer rows per block instead
+    # pairs, so the kernel takes fewer rows per block instead; a triangle
+    # block pairs its rows only with the columns from its first row on
     n = 20_000
     mats = np.tile(np.eye(2, dtype=np.complex128), (n, 1, 1))
     rows = np.arange(0, n, 40)
-    blocks = [(r, dev.shape) for r, dev in words._pair_devs(mats, rows)]
-    assert all(len(r) * n <= 1 << 22 and shape == (len(r), n) for r, shape in blocks)
-    assert len(blocks[0][0]) < words._PAIR_BLOCK
-    assert np.array_equal(np.concatenate([r for r, _ in blocks]), rows)
+    for upper, pairs in ((False, words._pair_devs(mats, rows)),
+                         (True, words._pair_devs(mats, rows, upper=True))):
+        blocks = [(r, dev.shape) for r, dev in pairs]
+        assert all(shape == (len(r), n - (r[0] if upper else 0)) for r, shape in blocks)
+        assert all(shape[0] * shape[1] <= 1 << 22 for _, shape in blocks)
+        assert len(blocks[0][0]) < words._PAIR_BLOCK
+        assert np.array_equal(np.concatenate([r for r, _ in blocks]), rows)
+
+
+def test_sweep_count_across_block_seams_matches_a_full_reference():
+    # Bianchi d = 1 at length 5 has 544 elements, three blocks of rows, so
+    # the triangle count crosses two block seams; the reference forms every
+    # ordered pair with einsum and the trace identity in its textbook form
+    gens = bianchi_generators(1)
+    mats = words._ball_elements(gens, 5)
+    n = len(mats)
+    assert n == 544 and -(-n // words._PAIR_BLOCK) == 3
+    tr = mats[:, 0, 0] + mats[:, 1, 1]
+    tr_xy = np.einsum("aij,bji->ab", mats, mats)
+    comm = (tr[:, None] ** 2 + tr[None, :] ** 2 + tr_xy ** 2
+            - tr[:, None] * tr[None, :] * tr_xy - 2.0)
+    ref = np.abs(comm - 2.0) > tol.COMM_EPS
+    assert inequality_sweep(gens, 5).n_candidates == int(np.count_nonzero(ref))
+    for r, dev in words._pair_devs(mats, np.arange(n)):
+        assert np.array_equal(dev > tol.COMM_EPS, ref[r])
+    seen = []
+    for r, dev in words._pair_devs(mats, np.arange(n), upper=True):
+        assert np.array_equal(dev > tol.COMM_EPS, ref[r, r[0]:])
+        seen.append(r)
+    assert np.array_equal(np.concatenate(seen), np.arange(n))
+
+
+@pytest.mark.parametrize("max_len", [0, -1])
+def test_inequality_sweep_refuses_a_ball_without_pairs(max_len):
+    with pytest.raises(ValueError, match=f"max_len {max_len} below 1"):
+        inequality_sweep(FIG8, max_len)
+
+
+def test_pair_sweeps_of_an_identity_generator_find_no_pairs():
+    # the ball of <I> is the identity alone, so no pair block is formed
+    gens = GeneratorSet(("A",), (Mat2(1, 0, 0, 1),))
+    rep = inequality_sweep(gens, 3)
+    assert (rep.n_elements, rep.n_pairs, rep.n_candidates, rep.violations) == (0, 0, 0, ())
+    assert first_violation(gens, 3) is None
