@@ -400,7 +400,6 @@ class GeometricRootError(SearchError):
 class BridgeReport:
     """Representation data of a two-bridge knot or link at its geometric root."""
 
-    bridge: TwoBridge
     choice: RootChoice
     jorgensen: float     # |z| for knots, |z|^2 for links
     waist: float         # shortest-waist upper bound: sqrt(|z|) resp. |z|
@@ -453,7 +452,7 @@ def _bridge_jreport(tb: TwoBridge, root_index: Optional[int],
         raise GeometricRootError(
             f"{'J(A, W)' if knot else 'J(A, B)'} = {jr.value} disagrees with "
             f"{'|z|' if knot else '|z|^2'} = {want}", choice)
-    return BridgeReport(tb, choice, jr.value, math.sqrt(abs(z)) if knot else abs(z), jr)
+    return BridgeReport(choice, jr.value, math.sqrt(abs(z)) if knot else abs(z), jr)
 
 
 def knot_jreport(p: int, q: int, root_index: Optional[int] = None,

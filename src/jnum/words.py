@@ -8,15 +8,14 @@ projective dedup on a 1e-6 quantization grid; min_loxodromic_defect
 takes the ball's trace set from cyclically reduced necklaces instead. A
 Python set holds the grid key of every element seen so far, and each
 level keeps the first candidate, in order, of each key not yet in it.
-The violation stream behind both inequality checks sweeps only the rows
-X with |tr^2 X - 4| below the threshold, since J is never below that
-defect, and yields its pairs in ascending J. The pair kernel forms the
-traces tr XY of a block of rows against all columns as one complex GEMM
-of (n, 4) entry arrays. inequality_sweep counts its candidates over the
-upper triangle of pairs and doubles the off-diagonal part, since
-|tr [X, Y] - 2| is symmetric in X and Y. A pair counts as non-elementary
-when |tr [X, Y] - 2| > COMM_EPS, the test of linalg.is_nonelementary,
-decided once in the pair kernel.
+One pair pass serves both inequality checks. J is never below the
+defect |tr^2 X - 4|, so unless it counts candidates the pass forms the
+pairs of only the rows X with a defect below the threshold, moved to
+the front. The pair kernel forms the traces tr XY of a block of rows
+against the columns from its first row on as one complex GEMM of (n, 4)
+entry arrays, so each unordered pair is formed once: |tr [X, Y] - 2| is
+symmetric. A pair counts as non-elementary when |tr [X, Y] - 2| >
+COMM_EPS, the test of linalg.is_nonelementary, decided once in the pass.
 """
 
 from __future__ import annotations
@@ -324,12 +323,11 @@ def min_loxodromic_defect(gens: GeneratorSet, max_len: int) -> float:
     return _primitive_min_defect(lox)
 
 
-def _pair_devs(mats: np.ndarray, rows: np.ndarray, upper: bool = False):
-    """Yield (block of rows, |tr [X, Y] - 2|) for X in mats[rows], Y in mats.
+def _pair_devs(mats: np.ndarray, n_rows: int):
+    """Yield (start, |tr [X, Y] - 2|) for X in mats[start:start + k], Y in mats[start:].
 
-    With upper, the Y of a block r run over mats[r[0]:] only: for rows
-    0..n-1 that is the upper triangle of pairs, diagonal blocks included.
-    Uses the trace identity
+    The blocks of k rows cover rows 0..n_rows - 1 in order; over all rows
+    that is the upper triangle of pairs, diagonal blocks included. Uses
         tr [X, Y] - 2 = tr XY (tr XY - tr X tr Y) + (tr^2 X - 4) + tr^2 Y
     so only traces of pairwise products are formed, never the products:
     tr XY = sum X_ij Y_ji is one complex GEMM of the (n, 4) entries of X
@@ -340,16 +338,15 @@ def _pair_devs(mats: np.ndarray, rows: np.ndarray, upper: bool = False):
     flat = mats.reshape(len(mats), 4)
     flat_t = np.ascontiguousarray(mats.transpose(0, 2, 1).reshape(len(mats), 4).T)
     block = min(_PAIR_BLOCK, max(1, _PAIR_ENTRIES // max(1, len(mats))))
-    for start in range(0, len(rows), block):
-        r = rows[start:start + block]
-        lo = r[0] if upper else 0
-        tr_xy = flat[r] @ flat_t[:, lo:]
-        comm = np.multiply.outer(tr[r], tr[lo:])
+    for start in range(0, n_rows, block):
+        rows = slice(start, min(start + block, n_rows))
+        tr_xy = flat[rows] @ flat_t[:, start:]
+        comm = np.multiply.outer(tr[rows], tr[start:])
         np.subtract(tr_xy, comm, out=comm)
         comm *= tr_xy
-        comm += (tr2[r] - 4.0)[:, None]
-        comm += tr2[lo:]
-        yield r, np.abs(comm)
+        comm += (tr2[rows] - 4.0)[:, None]
+        comm += tr2[start:]
+        yield start, np.abs(comm)
 
 
 def _mat_of(row: np.ndarray) -> Mat2:
@@ -357,29 +354,38 @@ def _mat_of(row: np.ndarray) -> Mat2:
                 complex(row[1, 0]), complex(row[1, 1]))
 
 
-def _violations(mats: np.ndarray, threshold: float):
-    """Non-elementary (J, x, y) with J below threshold, in ascending J.
+def _pair_pass(mats: np.ndarray, threshold: float, count: bool):
+    """(n_candidates, J, x, y): the non-elementary ordered pairs (mats[x], mats[y])
+    with J below threshold, in ascending J and ties in (x, y) order.
 
     J(X, Y) = |tr^2 X - 4| + |tr [X, Y] - 2| is never below the defect
-    |tr^2 X - 4|, in floats too, so only rows X with a defect below
-    threshold can violate. A pair is non-elementary when
-    |tr [X, Y] - 2| > COMM_EPS, as in linalg.is_nonelementary: the pairs
-    at tr [X, Y] = 2 share a fixed point. Mat2 is built only for the
-    pairs yielded.
+    |tr^2 X - 4|, in floats too, so the rows with a defect below threshold
+    move to the front, in order, and only their blocks are formed; with
+    count every block is, and n_candidates counts the ordered pairs with
+    |tr [X, Y] - 2| > COMM_EPS. Since that value is symmetric in X and Y, an
+    entry right of its block's square part stands for both orders.
     """
     tr = mats[:, 0, 0] + mats[:, 1, 1]
     defect = np.abs(tr * tr - 4.0)
-    low = []
-    for rows, dev in _pair_devs(mats, np.flatnonzero(defect < threshold)):
-        jval = defect[rows, None] + dev
-        r, cols = np.nonzero((dev > tol.COMM_EPS) & (jval < threshold))
-        if len(r):
-            low.append((jval[r, cols], rows[r], cols))
-    if not low:
-        return
-    jv, rows, cols = (np.concatenate(part) for part in zip(*low))
-    for k in np.argsort(jv, kind="stable"):
-        yield float(jv[k]), _mat_of(mats[rows[k]]), _mat_of(mats[cols[k]])
+    order = np.argsort(defect >= threshold, kind="stable")
+    n_low = int(np.count_nonzero(defect < threshold))
+    defect = defect[order]
+    n_candidates, hits = 0, [(np.empty(0), order[:0], order[:0])]
+    for start, dev in _pair_devs(mats[order], len(mats) if count else n_low):
+        cand = dev > tol.COMM_EPS
+        n_candidates += 2 * np.count_nonzero(cand) - np.count_nonzero(cand[:, :len(dev)])
+        if start >= n_low:
+            continue
+        r, c = np.nonzero(cand & (dev < threshold))  # J >= dev, in floats too
+        mirror = c >= len(dev)
+        x = start + np.concatenate((r, c[mirror]))
+        y = start + np.concatenate((c, r[mirror]))
+        jv = defect[x] + np.concatenate((dev[r, c], dev[r[mirror], c[mirror]]))
+        keep = jv < threshold
+        hits.append((jv[keep], order[x[keep]], order[y[keep]]))
+    jv, x, y = (np.concatenate(part) for part in zip(*hits))
+    by_j = np.lexsort((y, x, jv))
+    return int(n_candidates), jv[by_j], x[by_j], y[by_j]
 
 
 def first_violation(gens: GeneratorSet, max_len: int,
@@ -394,9 +400,10 @@ def first_violation(gens: GeneratorSet, max_len: int,
         raise ValueError(f"max_len {max_len} below 2: the smallest radius swept is 2")
     levels = ball_levels(gens, max_len)
     for radius in range(2, max_len + 1):
-        hit = next(_violations(np.concatenate(levels[1:radius + 1]), threshold), None)
-        if hit is not None:
-            return hit
+        mats = np.concatenate(levels[1:radius + 1])
+        _, jv, x, y = _pair_pass(mats, threshold, count=False)
+        if len(jv):
+            return float(jv[0]), _mat_of(mats[x[0]]), _mat_of(mats[y[0]])
     return None
 
 
@@ -417,14 +424,7 @@ def inequality_sweep(gens: GeneratorSet, max_len: int,
     if max_len < 1:
         raise ValueError(f"max_len {max_len} below 1: the ball has no pairs")
     mats = _ball_elements(gens, max_len)
-    n = len(mats)
-    # the candidates, pairs with tr [X, Y] != 2, are counted over the upper
-    # triangle, as |tr [X, Y] - 2| is symmetric and 0 on the diagonal: each
-    # block's square diagonal part once, the part to its right twice
-    n_candidates = 0
-    for rows, dev in _pair_devs(mats, np.arange(n), upper=True):
-        cand = dev > tol.COMM_EPS
-        n_candidates += (int(np.count_nonzero(cand[:, :len(rows)]))
-                         + 2 * int(np.count_nonzero(cand[:, len(rows):])))
-    violations = tuple(_violations(mats, threshold))
-    return SweepReport(n, n * n, n_candidates, violations, threshold)
+    n_candidates, jv, x, y = _pair_pass(mats, threshold, count=True)
+    violations = tuple((float(j), _mat_of(mats[a]), _mat_of(mats[b]))
+                       for j, a, b in zip(jv, x, y))
+    return SweepReport(len(mats), len(mats) ** 2, n_candidates, violations, threshold)

@@ -278,41 +278,64 @@ def test_inequality_sweep_matches_the_pair_oracle(z, threshold):
 
 def test_pair_blocks_stay_under_the_entry_cap():
     # past 16,384 elements a block of 256 rows would hold more than 2^22
-    # pairs, so the kernel takes fewer rows per block instead; a triangle
-    # block pairs its rows only with the columns from its first row on
-    n = 20_000
+    # pairs, so the kernel takes fewer rows per block instead; a block pairs
+    # its rows only with the columns from its first row on
+    n, n_rows = 20_000, 500
     mats = np.tile(np.eye(2, dtype=np.complex128), (n, 1, 1))
-    rows = np.arange(0, n, 40)
-    for upper, pairs in ((False, words._pair_devs(mats, rows)),
-                         (True, words._pair_devs(mats, rows, upper=True))):
-        blocks = [(r, dev.shape) for r, dev in pairs]
-        assert all(shape == (len(r), n - (r[0] if upper else 0)) for r, shape in blocks)
-        assert all(shape[0] * shape[1] <= 1 << 22 for _, shape in blocks)
-        assert len(blocks[0][0]) < words._PAIR_BLOCK
-        assert np.array_equal(np.concatenate([r for r, _ in blocks]), rows)
+    blocks = [(start, dev.shape) for start, dev in words._pair_devs(mats, n_rows)]
+    assert all(shape[1] == n - start for start, shape in blocks)
+    assert all(shape[0] * shape[1] <= 1 << 22 for _, shape in blocks)
+    assert blocks[0][1][0] < words._PAIR_BLOCK
+    rows = [np.arange(start, start + shape[0]) for start, shape in blocks]
+    assert np.array_equal(np.concatenate(rows), np.arange(n_rows))
 
 
-def test_sweep_count_across_block_seams_matches_a_full_reference():
-    # Bianchi d = 1 at length 5 has 544 elements, three blocks of rows, so
-    # the triangle count crosses two block seams; the reference forms every
-    # ordered pair with einsum and the trace identity in its textbook form
-    gens = bianchi_generators(1)
-    mats = words._ball_elements(gens, 5)
-    n = len(mats)
-    assert n == 544 and -(-n // words._PAIR_BLOCK) == 3
+def full_pair_devs(mats):
+    """|tr [X, Y] - 2| for every ordered pair, by einsum and the trace
+    identity in its textbook form."""
     tr = mats[:, 0, 0] + mats[:, 1, 1]
     tr_xy = np.einsum("aij,bji->ab", mats, mats)
     comm = (tr[:, None] ** 2 + tr[None, :] ** 2 + tr_xy ** 2
             - tr[:, None] * tr[None, :] * tr_xy - 2.0)
-    ref = np.abs(comm - 2.0) > tol.COMM_EPS
+    return np.abs(comm - 2.0)
+
+
+def test_sweep_count_across_block_seams_matches_a_full_reference():
+    # Bianchi d = 1 at length 5 has 544 elements, three blocks of rows, so
+    # the triangle count crosses two block seams
+    gens = bianchi_generators(1)
+    mats = words._ball_elements(gens, 5)
+    n = len(mats)
+    assert n == 544 and -(-n // words._PAIR_BLOCK) == 3
+    ref = full_pair_devs(mats) > tol.COMM_EPS
     assert inequality_sweep(gens, 5).n_candidates == int(np.count_nonzero(ref))
-    for r, dev in words._pair_devs(mats, np.arange(n)):
-        assert np.array_equal(dev > tol.COMM_EPS, ref[r])
     seen = []
-    for r, dev in words._pair_devs(mats, np.arange(n), upper=True):
-        assert np.array_equal(dev > tol.COMM_EPS, ref[r, r[0]:])
-        seen.append(r)
+    for start, dev in words._pair_devs(mats, n):
+        assert np.array_equal(dev > tol.COMM_EPS, ref[start:start + len(dev), start:])
+        seen.append(np.arange(start, start + len(dev)))
     assert np.array_equal(np.concatenate(seen), np.arange(n))
+
+
+def test_sweep_violations_in_both_orders_across_block_seams():
+    # at threshold 5.5 more rows of the Bianchi d = 1 ball than one block
+    # holds have a defect below it, so a pair of such rows in two blocks is
+    # formed once, right of the first block's square part, and must count
+    # in both orders; the threshold keeps clear of every J in the ball
+    gens, threshold = bianchi_generators(1), 5.5
+    mats = words._ball_elements(gens, 5)
+    tr = mats[:, 0, 0] + mats[:, 1, 1]
+    defect = np.abs(tr * tr - 4.0)
+    assert np.count_nonzero(defect < threshold) > words._PAIR_BLOCK
+    dev = full_pair_devs(mats)
+    jval = defect[:, None] + dev
+    assert np.abs(jval - threshold).min() >= 0.02
+    js = np.sort(jval[(dev > tol.COMM_EPS) & (jval < threshold)])
+    rep = inequality_sweep(gens, 5, threshold)
+    assert rep.n_candidates == int(np.count_nonzero(dev > tol.COMM_EPS))
+    got = [v[0] for v in rep.violations]
+    assert got == sorted(got)
+    assert len(got) == len(js)
+    assert np.allclose(got, js, rtol=1e-9, atol=0.0)
 
 
 @pytest.mark.parametrize("max_len", [0, -1])
