@@ -45,8 +45,6 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from . import tolerances as tol
 from .intpoly import IntPoly, squarefree_factors
 from .linalg import JReport, Mat2, jorgensen_pair
@@ -263,6 +261,7 @@ def solve_roots(poly: IntPoly) -> RootSet:
     otherwise, and when a coefficient or a value does not fit a float64,
     SearchError is raised.
     """
+    import numpy as np
     if poly.is_zero:
         raise ValueError("zero polynomial has every point as a root")
     v = poly.valuation()

@@ -22,8 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import tolerances as tol
 from .linalg import IDENT, Mat2
 
@@ -135,10 +133,12 @@ def evaluate(gens: GeneratorSet, w: Word) -> Mat2:
 
 
 # ---------------------------------------------------------------------------
-# numpy ball machinery
+# numpy ball machinery: each function imports numpy itself, so that the
+# catalog commands, which build no ball, start without loading numpy
 
 
 def _symbol_array(gens: GeneratorSet) -> np.ndarray:
+    import numpy as np
     out = np.empty((2 * gens.arity, 2, 2), dtype=np.complex128)
     for i, m in enumerate(gens.mats):
         inv = m.inv()
@@ -149,6 +149,7 @@ def _symbol_array(gens: GeneratorSet) -> np.ndarray:
 
 def _canonical_keys(mats: np.ndarray) -> np.ndarray:
     """Quantized sign-canonical integer keys, one row of 8 int64 per matrix."""
+    import numpy as np
     flat = mats.reshape(len(mats), 4)
     q = np.empty((len(mats), 8), dtype=np.int64)
     q[:, 0::2] = np.round(flat.real / tol.QUANT)
@@ -167,6 +168,7 @@ def ball_levels(gens: GeneratorSet, max_len: int):
     all levels, so each group element appears once, at its word-length radius
     (up to grid collisions at the 1e-6 quantization).
     """
+    import numpy as np
     if max_len > MAX_BALL_LEN:
         raise ValueError(f"max_len capped at {MAX_BALL_LEN}")
     syms = _symbol_array(gens)
@@ -196,6 +198,7 @@ def ball_levels(gens: GeneratorSet, max_len: int):
 
 def _ball_elements(gens: GeneratorSet, max_len: int) -> np.ndarray:
     """All non-identity ball elements as one (n,2,2) array."""
+    import numpy as np
     levels = ball_levels(gens, max_len)
     if len(levels) <= 1:
         return np.empty((0, 2, 2), dtype=np.complex128)
@@ -208,6 +211,7 @@ def min_c_entry(gens: GeneratorSet, max_len: int) -> float:
     Requires the translation normalization, i.e. the generator set must
     contain [[1,1],[0,1]].
     """
+    import numpy as np
     a_mat = Mat2(1.0, 1.0, 0.0, 1.0)
     if not any(m.proj_eq(a_mat) for m in gens.mats):
         raise ValueError("generator set must contain the unit translation [[1,1],[0,1]]")
@@ -223,6 +227,7 @@ def min_c_entry(gens: GeneratorSet, max_len: int) -> float:
 
 def _loxodromic_mask(traces: np.ndarray) -> np.ndarray:
     """Loxodromic-or-hyperbolic in the broad sense (trace outside [-2, 2])."""
+    import numpy as np
     nonreal = np.abs(traces.imag) > tol.CX_EPS
     hyper = (~nonreal) & (np.abs(traces.real) > 2.0 + tol.CX_EPS)
     return nonreal | hyper
@@ -237,6 +242,7 @@ def _primitive_min_defect(traces: np.ndarray) -> float:
     Detection is complete when the traces include the root class, which
     holds for the necklace traces of the lengths exercised here.
     """
+    import numpy as np
     t = traces.copy()
     near_zero = np.abs(t.real) <= tol.ROUND_EPS
     flip = (t.real < -tol.ROUND_EPS) | (near_zero & (t.imag < 0))
@@ -277,6 +283,7 @@ def _necklace_traces(gens: GeneratorSet, max_len: int) -> np.ndarray:
     it is cyclically reduced when its first symbol is not the inverse of
     its last.
     """
+    import numpy as np
     syms = _symbol_array(gens)
     ns = len(syms)
     word = np.arange(ns, dtype=np.int8)[:, None]
@@ -333,6 +340,7 @@ def _pair_devs(mats: np.ndarray, n_rows: int):
     tr XY = sum X_ij Y_ji is one complex GEMM of the (n, 4) entries of X
     with the (4, n) entries of the transposed Y.
     """
+    import numpy as np
     tr = mats[:, 0, 0] + mats[:, 1, 1]
     tr2 = tr * tr
     flat = mats.reshape(len(mats), 4)
@@ -365,6 +373,7 @@ def _pair_pass(mats: np.ndarray, threshold: float, count: bool):
     |tr [X, Y] - 2| > COMM_EPS. Since that value is symmetric in X and Y, an
     entry right of its block's square part stands for both orders.
     """
+    import numpy as np
     tr = mats[:, 0, 0] + mats[:, 1, 1]
     defect = np.abs(tr * tr - 4.0)
     order = np.argsort(defect >= threshold, kind="stable")
@@ -396,6 +405,7 @@ def first_violation(gens: GeneratorSet, max_len: int,
     turn; the first non-elementary pair with J below threshold, in
     ascending J, is returned as (J, x, y), else None.
     """
+    import numpy as np
     if max_len < 2:
         raise ValueError(f"max_len {max_len} below 2: the smallest radius swept is 2")
     levels = ball_levels(gens, max_len)

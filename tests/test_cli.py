@@ -293,6 +293,31 @@ def test_verify_suite_ok(capsys, suite):
     assert env["results"], suite
 
 
+# ---------------------------------------------------------------------------
+# cold start (a fresh interpreter, since this process already holds numpy)
+
+_COLD_START = """
+import json, sys
+import jnum, jnum.cli
+assert "numpy" not in sys.modules, "import jnum, jnum.cli"
+for argv in json.loads(sys.argv[1]):
+    assert jnum.cli.main(argv + ["--json"]) == 0, argv
+    assert "numpy" not in sys.modules, argv
+assert jnum.cli.main(["knot", "5/3", "--json"]) == 0
+assert "numpy" in sys.modules, "knot 5/3"
+"""
+
+
+def test_catalog_commands_start_without_numpy():
+    ops = [["gtk", "1/5", "0.9"], ["gtk", "1/2", "0.5"],
+           ["bianchi", "--d", "7", "--verify"]]
+    ops += [["verify", s] for s in
+            ("bianchi", "losid", "arithcomp", "elliptic", "gtk-families")]
+    proc = subprocess.run([sys.executable, "-c", _COLD_START, json.dumps(ops)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_verify_inequality_sweep(capsys):
     code, env = run_json(capsys, ["verify", "inequality-sweep", "--max-len", "3"])
     assert code == 0
