@@ -49,6 +49,7 @@ from .linalg import (
     MobiusClass,
     classify,
     commutator,
+    commutator_dev,
     cx_eq,
     is_nonelementary,
     jorgensen_pair,
@@ -91,7 +92,7 @@ __all__ = [
     "__version__",
     # linalg
     "IDENT", "JReport", "Mat2", "MobiusClass", "classify", "commutator",
-    "cx_eq", "is_nonelementary", "jorgensen_pair", "proj_dist",
+    "commutator_dev", "cx_eq", "is_nonelementary", "jorgensen_pair", "proj_dist",
     # integer polynomials
     "IntPoly",
     # words and sweeps

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import tolerances as tol
-from .linalg import Mat2, commutator
+from .linalg import Mat2, commutator_dev
 
 ELLIPTIC_ORDERS = (7, 8, 9, 10, 11, 12, 14, 16, 18, 24, 30)
 
@@ -63,8 +63,8 @@ def recognize_quad_imaginary(x: complex) -> Optional[QuadImagField]:
 
     Solves x^2 + bx + c = 0 for real b, c directly (b from the imaginary
     parts, c from the real parts), rounds to integers, and verifies. Returns
-    None for real x, for non-integer minimal polynomials, and when the
-    rounded coefficients exceed RECOGNIZE_COEFF_CAP.
+    None for real x, when b or c is not finite, for non-integer minimal
+    polynomials, and when the rounded coefficients exceed RECOGNIZE_COEFF_CAP.
     """
     x = complex(x)
     if abs(x.imag) <= tol.CX_EPS:
@@ -72,6 +72,8 @@ def recognize_quad_imaginary(x: complex) -> Optional[QuadImagField]:
     x2 = x * x
     b = -x2.imag / x.imag
     c = -x2.real - b * x.real
+    if not (math.isfinite(b) and math.isfinite(c)):
+        return None
     br, cr = round(b), round(c)
     if abs(br) > tol.RECOGNIZE_COEFF_CAP or abs(cr) > tol.RECOGNIZE_COEFF_CAP:
         return None
@@ -96,9 +98,9 @@ def invariant_trace_field_generators(x: Mat2, y: Mat2) -> list:
     if abs(tx) <= tol.CX_EPS and abs(ty) <= tol.CX_EPS:
         raise ValueError("both generators are traceless; generators are not determined")
     if abs(ty) <= tol.CX_EPS:
-        return [tx * tx, commutator(x, y).trace]
+        return [tx * tx, 2.0 + commutator_dev(x, y)]
     if abs(tx) <= tol.CX_EPS:
-        return [ty * ty, commutator(x, y).trace]
+        return [ty * ty, 2.0 + commutator_dev(x, y)]
     return [tx * tx, ty * ty, tx * ty * txy]
 
 

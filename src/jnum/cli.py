@@ -267,13 +267,8 @@ def cmd_gtk(args, cfg: dict) -> dict:
                for name, m in zip(gens.names, gens.mats)]
     inputs = {"theta_num": num, "theta_den": den, "k": args.k}
     tols = {"cx_eps": tol.CX_EPS, "j_eps": tol.J_EPS}
-    try:
-        jr = jorgensen_pair(a, b)
-        field = recognize_invariant_field(a, b)
-    except ValueError as exc:
-        # a product of generators with huge entries loses its determinant
-        records.append({"kind": "error", "message": str(exc)})
-        return _envelope("gtk", inputs, records, tols, "error")
+    jr = jorgensen_pair(a, b)
+    field = recognize_invariant_field(a, b)
     match = family_match(params)
     if match is None:
         note = "not a listed family"

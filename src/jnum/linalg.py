@@ -6,6 +6,9 @@ compared projectively, i.e. up to overall sign.
 The Jorgensen number of an ordered pair is
 
     J(X, Y) = |tr^2 X - 4| + |tr [X, Y] - 2|,   [X, Y] = X Y X^-1 Y^-1.
+
+tr [X, Y] - 2 comes from the traceless parts of X and Y (commutator_dev),
+so J and the elementarity test form no product matrix.
 """
 
 from __future__ import annotations
@@ -142,11 +145,21 @@ def commutator(x: Mat2, y: Mat2) -> Mat2:
     return x @ y @ x.inv() @ y.inv()
 
 
+def commutator_dev(x: Mat2, y: Mat2) -> complex:
+    """tr [X, Y] - 2 = tr(X0 Y0)^2 - (tr^2 X - 4)(tr^2 Y - 4)/4, X0 = X - (tr X / 2) I.
+
+    tr(X0 Y0) = (a_x - d_x)(a_y - d_y)/2 + b_x c_y + c_x b_y. X's factor
+    multiplies first: a parabolic X gives 0 there even if tr^2 Y overflows.
+    """
+    tx, ty = x.trace, y.trace
+    t = (x.a - x.d) * (y.a - y.d) / 2 + x.b * y.c + x.c * y.b
+    return t * t - (tx * tx - 4.0) * (ty - 2.0) * (ty + 2.0) / 4
+
+
 def jorgensen_pair(x: Mat2, y: Mat2) -> JReport:
     """J(X, Y) = |tr^2 X - 4| + |tr [X, Y] - 2|."""
-    tx = x.trace
-    tk = commutator(x, y).trace
-    return JReport(abs(tx * tx - 4.0) + abs(tk - 2.0), (x, y), tk)
+    dev = commutator_dev(x, y)
+    return JReport(abs(x.trace * x.trace - 4.0) + abs(dev), (x, y), 2.0 + dev)
 
 
 def is_nonelementary(x: Mat2, y: Mat2) -> bool:
@@ -157,4 +170,4 @@ def is_nonelementary(x: Mat2, y: Mat2) -> bool:
     2 as well. Pairs preserving a two-point set and finite groups are still
     not detected, so this is not a complete elementarity classifier.
     """
-    return abs(commutator(x, y).trace - 2.0) > tol.COMM_EPS
+    return abs(commutator_dev(x, y)) > tol.COMM_EPS

@@ -11,11 +11,12 @@ level keeps the first candidate, in order, of each key not yet in it.
 One pair pass serves both inequality checks. J is never below the
 defect |tr^2 X - 4|, so unless it counts candidates the pass forms the
 pairs of only the rows X with a defect below the threshold, moved to
-the front. The pair kernel forms the traces tr XY of a block of rows
-against the columns from its first row on as one complex GEMM of (n, 4)
-entry arrays, so each unordered pair is formed once: |tr [X, Y] - 2| is
-symmetric. A pair counts as non-elementary when |tr [X, Y] - 2| >
-COMM_EPS, the test of linalg.is_nonelementary, decided once in the pass.
+the front. The pair kernel takes tr [X, Y] - 2 from the traceless parts,
+as linalg.commutator_dev does, for a block of rows against the columns
+from its first row on, so each unordered pair is formed once:
+|tr [X, Y] - 2| is symmetric. A pair counts as non-elementary when
+|tr [X, Y] - 2| > COMM_EPS, the test of linalg.is_nonelementary, decided
+once in the pass.
 """
 
 from __future__ import annotations
@@ -335,26 +336,21 @@ def _pair_devs(mats: np.ndarray, n_rows: int):
 
     The blocks of k rows cover rows 0..n_rows - 1 in order; over all rows
     that is the upper triangle of pairs, diagonal blocks included. Uses
-        tr [X, Y] - 2 = tr XY (tr XY - tr X tr Y) + (tr^2 X - 4) + tr^2 Y
-    so only traces of pairwise products are formed, never the products:
-    tr XY = sum X_ij Y_ji is one complex GEMM of the (n, 4) entries of X
-    with the (4, n) entries of the transposed Y.
+    linalg.commutator_dev's tr [X, Y] - 2 = tr(X0 Y0)^2 - (tr^2 X - 4)(tr^2 Y - 4)/4:
+    tr(X0 Y0) is one complex GEMM of the (n, 4) traceless entries
+    (h, b, c, -h), h = (a - d)/2, with the (4, n) entries (h, c, b, -h).
     """
     import numpy as np
-    tr = mats[:, 0, 0] + mats[:, 1, 1]
-    tr2 = tr * tr
-    flat = mats.reshape(len(mats), 4)
-    flat_t = np.ascontiguousarray(mats.transpose(0, 2, 1).reshape(len(mats), 4).T)
+    a, b, c, d = mats.reshape(len(mats), 4).T
+    h, q = (a - d) / 2, (a + d) * (a + d) - 4.0
+    x0, y0 = np.stack((h, b, c, -h), axis=1), np.stack((h, c, b, -h))
     block = min(_PAIR_BLOCK, max(1, _PAIR_ENTRIES // max(1, len(mats))))
     for start in range(0, n_rows, block):
         rows = slice(start, min(start + block, n_rows))
-        tr_xy = flat[rows] @ flat_t[:, start:]
-        comm = np.multiply.outer(tr[rows], tr[start:])
-        np.subtract(tr_xy, comm, out=comm)
-        comm *= tr_xy
-        comm += (tr2[rows] - 4.0)[:, None]
-        comm += tr2[start:]
-        yield start, np.abs(comm)
+        dev = x0[rows] @ y0[:, start:]
+        dev *= dev
+        dev -= np.multiply.outer(q[rows], q[start:] / 4)
+        yield start, np.abs(dev)
 
 
 def _mat_of(row: np.ndarray) -> Mat2:

@@ -13,6 +13,7 @@ KEPT = {
     "subset_oracle_poly": "reference oracle for the representation polynomial DP",
     "word_matrix": "reference oracle for W; bench/tracer.py binds it by name",
     "classify": "tests/test_acceptance.py imports it",
+    "commutator": "group-product reference the commutator identity is tested against",
     "unit_j_pairs": "tests/test_acceptance.py imports it",
     "min_c_entry": "the planned cusp scan of ROADMAP item 7 (|c| >= 1)",
     "is_nonelementary": "the pair oracle of tests/test_words.py; bench/tracer.py "

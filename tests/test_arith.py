@@ -45,6 +45,12 @@ def test_recognize_quad_imaginary():
     assert recognize_quad_imaginary(0.3 + 0.7j) is None
 
 
+def test_recognize_quad_imaginary_refuses_non_finite_values():
+    # b and c are not finite here, so nothing is rounded
+    for x in (complex(1e200, 1e200), complex(math.inf, 1), complex(math.nan, math.nan)):
+        assert recognize_quad_imaginary(x) is None
+
+
 # ---------------------------------------------------------------------------
 # trace fields of a pair
 

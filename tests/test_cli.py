@@ -1,8 +1,11 @@
 """Command-line surface: envelopes, exit codes, config, and JNUM_TOL."""
 
+import cmath
+import contextlib
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,7 +13,10 @@ from importlib import resources
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from jnum import tolerances as tol
 from jnum.cli import main
 
 SCHEMA = json.loads(
@@ -262,15 +268,33 @@ def test_gtk_unlisted(capsys):
     assert rep["jorgensen"] == pytest.approx(1.0, abs=1e-9)
 
 
-def test_gtk_large_k_is_an_error_envelope(capsys):
-    # the generators are finite, but a product inside the commutator loses
-    # its determinant; 1e30 still answers
-    for k in ("1e50", "1e100", "1e200"):
-        code, env = run_json(capsys, ["gtk", "1/2", k])
-        assert code == 1 and env["status"] == "error", k
-        assert "determinant" in record(env, "error")["message"]
-    code, env = run_json(capsys, ["gtk", "1/2", "1e30"])
-    assert code == 0 and record(env, "report")["jorgensen"] > 0
+@pytest.mark.parametrize("theta", ["1/2", "1/5", "1/12", "2/7"])
+def test_gtk_large_k_answers_j_one(capsys, theta):
+    # J(A, B) = 1 for every finite k: the commutator trace is taken from
+    # the traceless parts, so no product of huge entries is formed
+    for k in ("1e8", "1e10", "1e15", "3.1622776601683795e15", "1e50",
+              "1e200", "1e307"):
+        code, env = run_json(capsys, ["gtk", theta, k])
+        assert code == 0 and env["status"] == "ok", k
+        assert abs(record(env, "report")["jorgensen"] - 1.0) <= tol.J_EPS, k
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(2, 12).flatmap(
+           lambda den: st.tuples(st.integers(1, 2 * den - 1), st.just(den))),
+       st.floats(-3.0, 307.9))
+def test_gtk_answers_j_one_for_any_theta_and_k(theta, log_k):
+    num, den = theta
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["gtk", f"{num}/{den}", repr(10.0 ** log_k), "--json"])
+    env = json.loads(out.getvalue())
+    jsonschema.validate(env, SCHEMA)
+    assert code == 0
+    rep = record(env, "report")
+    assert abs(rep["jorgensen"] - 1.0) <= tol.J_EPS
+    trace = complex(rep["commutator_trace_re"], rep["commutator_trace_im"])
+    assert abs(trace - (2 - cmath.exp(2j * math.pi * num / den))) <= 1e-12
 
 
 def test_gtk_rejects_bad_k(capsys):

@@ -1,12 +1,15 @@
 import cmath
 import math
+import random
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from jnum.linalg import (IDENT, Mat2, classify, commutator, is_nonelementary,
-                         jorgensen_pair, proj_dist)
+from jnum.catalog import bianchi_generators
+from jnum.linalg import (IDENT, Mat2, classify, commutator, commutator_dev,
+                         is_nonelementary, jorgensen_pair, proj_dist)
+from jnum.words import ball_levels
 
 A = Mat2(1, 1, 0, 1)
 
@@ -85,6 +88,33 @@ def test_jorgensen_figure_eight_value():
     rep = jorgensen_pair(A, b)
     assert abs(rep.value - 1.0) <= 1e-12
     assert abs(rep.commutator_trace - (2.0 + (0.5 + 0.8660254037844386j) ** 2)) <= 1e-12
+
+
+def _assert_matches_group_commutator(x, y):
+    size = max(abs(e) for e in x.entries()) * max(abs(e) for e in y.entries())
+    ref = commutator(x, y).trace - 2.0
+    assert abs(commutator_dev(x, y) - ref) <= 1e-12 * (1.0 + size) ** 2
+
+
+def test_commutator_dev_matches_the_group_commutator():
+    rng = random.Random(20261018)
+
+    def unit():
+        return complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+
+    def sl2():
+        a, b, c = unit(), unit(), unit()
+        while abs(a) < 0.3:
+            a = unit()
+        return Mat2(a, b, c, (1 + b * c) / a)
+
+    for _ in range(500):
+        _assert_matches_group_commutator(sl2(), sl2())
+    ball = [Mat2(*(complex(e) for e in m.ravel()))
+            for level in ball_levels(bianchi_generators(7), 3)[1:] for m in level]
+    for x in ball:
+        for y in ball:
+            _assert_matches_group_commutator(x, y)
 
 
 def test_jorgensen_parabolic_commutator_identity():
