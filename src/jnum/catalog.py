@@ -237,13 +237,10 @@ def _scaled_identification(theta: Fraction, n: int, row: GtkFamilyRow):
     at theta = pi/3 odd n gives the extension by the inverting involution
     and even n the swapping one again, over a larger trace field.
     """
-    if theta == Fraction(1, 6):
-        if n % 2:
-            return row.identification
-        return _SWAP_EXTENSION.format("")
     if n % 2:
         return row.identification
-    return _SWAP_EXTENSION.format("; enlarged trace field")
+    return _SWAP_EXTENSION.format(
+        "" if theta == Fraction(1, 6) else "; enlarged trace field")
 
 
 def family_match(params: GtkParams) -> Optional[FamilyMatch]:

@@ -13,6 +13,7 @@ so J and the elementarity test form no product matrix.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -23,10 +24,6 @@ from . import tolerances as tol
 def cx_eq(a: complex, b: complex) -> bool:
     """Tolerance-based scalar equality."""
     return abs(a - b) <= tol.CX_EPS
-
-
-def _finite(z: complex) -> bool:
-    return math.isfinite(z.real) and math.isfinite(z.imag)
 
 
 @dataclass(frozen=True)
@@ -40,7 +37,7 @@ class Mat2:
 
     def __post_init__(self):
         for entry in (self.a, self.b, self.c, self.d):
-            if not _finite(complex(entry)):
+            if not cmath.isfinite(complex(entry)):
                 raise ValueError("non-finite matrix entry")
         # the drift of a product grows with its terms, not with the result
         ad, bc = self.a * self.d, self.b * self.c
@@ -146,14 +143,15 @@ def commutator(x: Mat2, y: Mat2) -> Mat2:
 
 
 def commutator_dev(x: Mat2, y: Mat2) -> complex:
-    """tr [X, Y] - 2 = tr(X0 Y0)^2 - (tr^2 X - 4)(tr^2 Y - 4)/4, X0 = X - (tr X / 2) I.
+    """tr [X, Y] - 2 = (s - p)(s + p), with s = tr(X0 Y0) and p = r_x r_y / 2.
 
-    tr(X0 Y0) = (a_x - d_x)(a_y - d_y)/2 + b_x c_y + c_x b_y. X's factor
-    multiplies first: a parabolic X gives 0 there even if tr^2 Y overflows.
+    X0 = X - (tr X / 2) I, so s = (a_x - d_x)(a_y - d_y)/2 + b_x c_y + c_x b_y, and
+    r = sqrt(tr - 2) sqrt(tr + 2): both factors are symmetric in X and Y, and a
+    parabolic r is 0 even where tr^2 of the other matrix overflows.
     """
-    tx, ty = x.trace, y.trace
-    t = (x.a - x.d) * (y.a - y.d) / 2 + x.b * y.c + x.c * y.b
-    return t * t - (tx * tx - 4.0) * (ty - 2.0) * (ty + 2.0) / 4
+    s = (x.a - x.d) * (y.a - y.d) / 2 + (x.b * y.c + x.c * y.b)
+    rx, ry = (cmath.sqrt(t - 2.0) * cmath.sqrt(t + 2.0) for t in (x.trace, y.trace))
+    return (s - rx * ry / 2) * (s + rx * ry / 2)
 
 
 def jorgensen_pair(x: Mat2, y: Mat2) -> JReport:

@@ -11,10 +11,11 @@ level keeps the first candidate, in order, of each key not yet in it.
 One pair pass serves both inequality checks. J is never below the
 defect |tr^2 X - 4|, so unless it counts candidates the pass forms the
 pairs of only the rows X with a defect below the threshold, moved to
-the front. The pair kernel takes tr [X, Y] - 2 from the traceless parts,
-as linalg.commutator_dev does, for a block of rows against the columns
-from its first row on, so each unordered pair is formed once:
-|tr [X, Y] - 2| is symmetric. A pair counts as non-elementary when
+the front. The pair kernel forms tr [X, Y] - 2 = (s - p)(s + p), as in
+linalg.commutator_dev, in tiles of k = min(rows left, max(1, _PAIR_ENTRIES // w))
+rows against the w = n - start columns from the tile's first row on: each
+unordered pair once, as |tr [X, Y] - 2| is symmetric. Tiles share buffers, so a
+tile is valid only until the next. A pair counts as non-elementary when
 |tr [X, Y] - 2| > COMM_EPS, the test of linalg.is_nonelementary, decided
 once in the pass.
 """
@@ -27,8 +28,7 @@ from . import tolerances as tol
 from .linalg import IDENT, Mat2
 
 MAX_BALL_LEN = 16  # the longest word length a ball is built to
-_PAIR_BLOCK = 256  # rows of X per block of the pair kernel
-_PAIR_ENTRIES = 1 << 22  # most pairs one block forms, so a big ball takes fewer rows
+_PAIR_ENTRIES = 1 << 16  # pairs per pair-kernel tile, so its buffers stay in cache
 
 
 class SearchError(RuntimeError):
@@ -334,23 +334,28 @@ def min_loxodromic_defect(gens: GeneratorSet, max_len: int) -> float:
 def _pair_devs(mats: np.ndarray, n_rows: int):
     """Yield (start, |tr [X, Y] - 2|) for X in mats[start:start + k], Y in mats[start:].
 
-    The blocks of k rows cover rows 0..n_rows - 1 in order; over all rows
-    that is the upper triangle of pairs, diagonal blocks included. Uses
-    linalg.commutator_dev's tr [X, Y] - 2 = tr(X0 Y0)^2 - (tr^2 X - 4)(tr^2 Y - 4)/4:
-    tr(X0 Y0) is one complex GEMM of the (n, 4) traceless entries
-    (h, b, c, -h), h = (a - d)/2, with the (4, n) entries (h, c, b, -h).
+    Tiles of k = min(rows left, max(1, _PAIR_ENTRIES // (n - start))) rows cover rows
+    0..n_rows - 1 in order. s + p and s - p of linalg.commutator_dev are one complex
+    GEMM of the rows (u, b, c, +-r), u = a - d, r = sqrt(t - 2) sqrt(t + 2), with the
+    columns (u/2, c, b, r/2). Every tile reuses two complex and one float buffer, so
+    it is valid only until the next one is yielded.
     """
     import numpy as np
-    a, b, c, d = mats.reshape(len(mats), 4).T
-    h, q = (a - d) / 2, (a + d) * (a + d) - 4.0
-    x0, y0 = np.stack((h, b, c, -h), axis=1), np.stack((h, c, b, -h))
-    block = min(_PAIR_BLOCK, max(1, _PAIR_ENTRIES // max(1, len(mats))))
-    for start in range(0, n_rows, block):
-        rows = slice(start, min(start + block, n_rows))
-        dev = x0[rows] @ y0[:, start:]
-        dev *= dev
-        dev -= np.multiply.outer(q[rows], q[start:] / 4)
-        yield start, np.abs(dev)
+    n = len(mats)
+    a, b, c, d = mats.reshape(n, 4).T
+    u, r = a - d, np.sqrt(a + d - 2) * np.sqrt(a + d + 2)
+    rows = np.stack((np.stack((u, b, c, r), axis=1), np.stack((u, b, c, -r), axis=1)))
+    cols = np.stack((u / 2, c, b, r / 2))
+    size = min(n_rows * n, max(_PAIR_ENTRIES, n))
+    s_pm, dev = np.empty((2, size), dtype=np.complex128), np.empty(size)
+    start = 0
+    while start < n_rows:
+        k = min(n_rows - start, max(1, _PAIR_ENTRIES // (n - start)))
+        tile = s_pm[:, :k * (n - start)].reshape(2, k, -1)
+        np.matmul(rows[:, start:start + k], cols[:, start:], out=tile)
+        np.multiply(tile[0], tile[1], out=tile[0])
+        yield start, np.abs(tile[0], out=dev[:k * (n - start)].reshape(k, -1))
+        start += k
 
 
 def _mat_of(row: np.ndarray) -> Mat2:
@@ -364,10 +369,10 @@ def _pair_pass(mats: np.ndarray, threshold: float, count: bool):
 
     J(X, Y) = |tr^2 X - 4| + |tr [X, Y] - 2| is never below the defect
     |tr^2 X - 4|, in floats too, so the rows with a defect below threshold
-    move to the front, in order, and only their blocks are formed; with
-    count every block is, and n_candidates counts the ordered pairs with
+    move to the front, in order, and only their tiles are formed; with
+    count every tile is, and n_candidates counts the ordered pairs with
     |tr [X, Y] - 2| > COMM_EPS. Since that value is symmetric in X and Y, an
-    entry right of its block's square part stands for both orders.
+    entry right of its tile's square part stands for both orders.
     """
     import numpy as np
     tr = mats[:, 0, 0] + mats[:, 1, 1]

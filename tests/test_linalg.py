@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from jnum.catalog import bianchi_generators
+from jnum.catalog import GtkParams, bianchi_generators, gtk_generators
 from jnum.linalg import (IDENT, Mat2, classify, commutator, commutator_dev,
                          is_nonelementary, jorgensen_pair, proj_dist)
 from jnum.words import ball_levels
@@ -115,6 +115,19 @@ def test_commutator_dev_matches_the_group_commutator():
     for x in ball:
         for y in ball:
             _assert_matches_group_commutator(x, y)
+
+
+@pytest.mark.parametrize("k", [1e100, 1e160, 1e200, 1e300])
+def test_commutator_dev_takes_either_order_of_a_huge_gtk_pair(k):
+    # tr^2 B overflows from k of about 1e154 on; the parabolic A has r = 0,
+    # so tr [A, B] - 2 = -e^{2 i theta} in both orders, and J(B, A) may be
+    # inf (its |tr^2 B - 4| overflows) but not NaN
+    a, b = gtk_generators(GtkParams(1, 5, k)).mats
+    dev = commutator_dev(a, b)
+    assert commutator_dev(b, a) == dev
+    assert abs(dev + cmath.exp(2j * math.pi / 5)) <= 1e-12
+    assert is_nonelementary(a, b) and is_nonelementary(b, a)
+    assert not math.isnan(jorgensen_pair(b, a).value)
 
 
 def test_jorgensen_parabolic_commutator_identity():

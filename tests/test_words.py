@@ -1,12 +1,15 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jnum import tolerances as tol
 from jnum import words
 from jnum.catalog import bianchi_generators, knot_table
-from jnum.linalg import Mat2, is_nonelementary, jorgensen_pair, proj_dist
+from jnum.linalg import Mat2, commutator, is_nonelementary, jorgensen_pair, proj_dist
 from jnum.riley import RILEY_A, riley_b
 from jnum.words import (GeneratorSet, Word, ball_levels, evaluate,
                         first_violation, inequality_sweep, min_c_entry,
@@ -276,18 +279,29 @@ def test_inequality_sweep_matches_the_pair_oracle(z, threshold):
     assert np.allclose(got, js, rtol=1e-9, atol=0.0)
 
 
-def test_pair_blocks_stay_under_the_entry_cap():
-    # past 16,384 elements a block of 256 rows would hold more than 2^22
-    # pairs, so the kernel takes fewer rows per block instead; a block pairs
-    # its rows only with the columns from its first row on
+def assert_tile_rule(tiles, n, n_rows):
+    """The tiles (start, (k, width)) start in order, cover rows
+    0..n_rows - 1 once, pair their rows with the columns from their first
+    row on, and hold at most _PAIR_ENTRIES pairs unless they are one row."""
+    starts = [start for start, _ in tiles]
+    assert starts == sorted(starts)
+    rows = [np.arange(start, start + k) for start, (k, _) in tiles]
+    assert np.array_equal(np.concatenate(rows or [np.arange(0)]), np.arange(n_rows))
+    for start, (k, width) in tiles:
+        assert width == n - start and 1 <= k <= width
+        assert k == 1 or k * width <= words._PAIR_ENTRIES
+
+
+def test_pair_blocks_stay_under_the_entry_cap(monkeypatch):
+    # a 20,000-wide tile takes three rows at the default cap; at 2^12 one
+    # row is wider than the cap, and such a tile is a single row
     n, n_rows = 20_000, 500
     mats = np.tile(np.eye(2, dtype=np.complex128), (n, 1, 1))
-    blocks = [(start, dev.shape) for start, dev in words._pair_devs(mats, n_rows)]
-    assert all(shape[1] == n - start for start, shape in blocks)
-    assert all(shape[0] * shape[1] <= 1 << 22 for _, shape in blocks)
-    assert blocks[0][1][0] < words._PAIR_BLOCK
-    rows = [np.arange(start, start + shape[0]) for start, shape in blocks]
-    assert np.array_equal(np.concatenate(rows), np.arange(n_rows))
+    for entries in (words._PAIR_ENTRIES, 1 << 12):
+        monkeypatch.setattr(words, "_PAIR_ENTRIES", entries)
+        tiles = [(start, dev.shape) for start, dev in words._pair_devs(mats, n_rows)]
+        assert_tile_rule(tiles, n, n_rows)
+        assert tiles[0][1][0] == max(1, entries // n)
 
 
 def full_pair_devs(mats):
@@ -301,31 +315,32 @@ def full_pair_devs(mats):
 
 
 def test_sweep_count_across_block_seams_matches_a_full_reference():
-    # Bianchi d = 1 at length 5 has 544 elements, three blocks of rows, so
-    # the triangle count crosses two block seams
+    # Bianchi d = 1 at length 5 has 544 elements, more than one tile of
+    # rows, so the triangle count crosses tile seams
     gens = bianchi_generators(1)
     mats = words._ball_elements(gens, 5)
     n = len(mats)
-    assert n == 544 and -(-n // words._PAIR_BLOCK) == 3
+    assert n == 544
     ref = full_pair_devs(mats) > tol.COMM_EPS
     assert inequality_sweep(gens, 5).n_candidates == int(np.count_nonzero(ref))
-    seen = []
+    tiles = []
     for start, dev in words._pair_devs(mats, n):
         assert np.array_equal(dev > tol.COMM_EPS, ref[start:start + len(dev), start:])
-        seen.append(np.arange(start, start + len(dev)))
-    assert np.array_equal(np.concatenate(seen), np.arange(n))
+        tiles.append((start, dev.shape))
+    assert_tile_rule(tiles, n, n)
+    assert len(tiles) > 1
 
 
 def test_sweep_violations_in_both_orders_across_block_seams():
-    # at threshold 5.5 more rows of the Bianchi d = 1 ball than one block
-    # holds have a defect below it, so a pair of such rows in two blocks is
-    # formed once, right of the first block's square part, and must count
-    # in both orders; the threshold keeps clear of every J in the ball
+    # at threshold 5.5 more rows of the Bianchi d = 1 ball than the first
+    # tile holds have a defect below it, so a pair of such rows in two
+    # tiles is formed once, right of the first tile's square part, and must
+    # count in both orders; the threshold keeps clear of every J in the ball
     gens, threshold = bianchi_generators(1), 5.5
     mats = words._ball_elements(gens, 5)
     tr = mats[:, 0, 0] + mats[:, 1, 1]
     defect = np.abs(tr * tr - 4.0)
-    assert np.count_nonzero(defect < threshold) > words._PAIR_BLOCK
+    assert np.count_nonzero(defect < threshold) > words._PAIR_ENTRIES // len(mats)
     dev = full_pair_devs(mats)
     jval = defect[:, None] + dev
     assert np.abs(jval - threshold).min() >= 0.02
@@ -336,6 +351,72 @@ def test_sweep_violations_in_both_orders_across_block_seams():
     assert got == sorted(got)
     assert len(got) == len(js)
     assert np.allclose(got, js, rtol=1e-9, atol=0.0)
+
+
+BIANCHI1_BALL5 = words._ball_elements(bianchi_generators(1), 5)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(0, len(BIANCHI1_BALL5)), st.floats(0.0, 1.0),
+       st.sampled_from([1, 2, 37, 1000, 1 << 16]))
+def test_pair_tiles_match_a_full_reference_at_any_cap(n, row_frac, entries):
+    # any prefix of the Bianchi d = 1 ball, any row count and any cap, down
+    # to one entry per tile; threshold 5.5 keeps clear of every J in it
+    mats, threshold = BIANCHI1_BALL5[:n], 5.5
+    n_rows = round(row_frac * n)
+    dev = full_pair_devs(mats)
+    tr = mats[:, 0, 0] + mats[:, 1, 1]
+    jval = np.abs(tr * tr - 4.0)[:, None] + dev
+    cand = dev > tol.COMM_EPS
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(words, "_PAIR_ENTRIES", entries)
+        tiles = []
+        for start, tile in words._pair_devs(mats, n_rows):
+            assert np.array_equal(tile > tol.COMM_EPS, cand[start:start + len(tile), start:])
+            tiles.append((start, tile.shape))
+        assert_tile_rule(tiles, n, n_rows)
+        n_candidates, jv, x, y = words._pair_pass(mats, threshold, count=True)
+    assert n_candidates == int(np.count_nonzero(cand))
+    rx, ry = np.nonzero(cand & (jval < threshold))
+    assert sorted(zip(x.tolist(), y.tolist())) == sorted(zip(rx.tolist(), ry.tolist()))
+    assert np.allclose(jv, jval[x, y], rtol=1e-9, atol=0.0)
+    assert np.all(np.diff(jv) >= 0)
+
+
+@pytest.mark.parametrize("gens,elliptic", [(FIG8, False), (bianchi_generators(1), True)],
+                         ids=["fig8", "bianchi1"])
+def test_pair_kernel_matches_the_group_commutator(gens, elliptic):
+    # both balls hold the parabolic A (r = 0); the Bianchi d = 1 ball also
+    # holds elliptic elements, whose tr^2 - 4 < 0 makes r imaginary
+    mats = words._ball_elements(gens, 4)
+    tr = mats[:, 0, 0] + mats[:, 1, 1]
+    assert np.any(tr * tr - 4.0 == 0.0)
+    real_inside = (np.abs(tr.imag) <= tol.CX_EPS) & (np.abs(tr.real) < 2.0 - tol.CX_EPS)
+    assert np.any(real_inside) == elliptic
+    elems = [words._mat_of(m) for m in mats]
+    size = np.abs(mats).reshape(len(mats), 4).max(axis=1)
+    for start, dev in words._pair_devs(mats, len(mats)):
+        for i, row in enumerate(dev):
+            x = elems[start + i]
+            ref = np.array([abs(commutator(x, y).trace - 2.0) for y in elems[start:]])
+            scale = (1.0 + size[start + i] * size[start:]) ** 2
+            assert np.all(np.abs(row - ref) <= 1e-12 * scale)
+            assert np.array_equal(row > tol.COMM_EPS, ref > tol.COMM_EPS)
+
+
+def test_sweep_memory_stays_within_its_tiles():
+    # two complex and one float tile buffer are 40 bytes a pair; the rest
+    # of the bound is the ball and the per-element arrays of the pass
+    gens = bianchi_generators(1)
+    n = len(words._ball_elements(gens, 6))
+    assert n == 1453
+    tracemalloc.start()
+    try:
+        inequality_sweep(gens, 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 48 * words._PAIR_ENTRIES + 512 * n
 
 
 @pytest.mark.parametrize("max_len", [0, -1])
