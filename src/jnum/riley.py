@@ -18,8 +18,8 @@ lower row of W is polynomial in z with integer coefficients:
 where f counts signed alternating index subsets and satisfies the
 recurrence f(i, t) = f(i-1, t) + [i = t mod 2] e_i f(i-1, t-1). The knot
 polynomial is W_22, the raw link polynomial W_21. A brute-force subset
-expansion (subset_oracle_poly) and the symbolic matrix product
-(word_matrix) are reference oracles for the dynamic program.
+expansion (subset_oracle_poly) and W's entries built letter by letter as
+column updates (word_matrix) are reference oracles for the dynamic program.
 
 At a geometric root the Jorgensen number of the representation is |z|
 for knots (witnessed by the pair (A, W)) and |z|^2 for links (witnessed
@@ -41,6 +41,7 @@ which carries the RootChoice.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -148,84 +149,39 @@ def link_poly(p: int, q: int) -> LinkPoly:
 def subset_oracle_poly(p: int, q: int) -> IntPoly:
     """Brute-force subset expansion of the representation polynomial (p <= 13).
 
-    Enumerates all 2^(p-1) index subsets directly instead of the dynamic
-    program: a subset contributes iff its elements alternate in parity
-    starting odd. Returns the knot polynomial for odd p, the raw link
-    polynomial for even p.
+    Sums the product of the exponents e_i over every index subset of
+    {1..p-1} whose k-th element has the parity of k, adding it to the
+    coefficient of z^((size + 1) // 2). Only sizes of the fraction's parity
+    count: even sizes give the knot polynomial for odd p, odd sizes the raw
+    link polynomial for even p.
     """
     tb = normalize(p, q)
     if p > 13:
         raise ValueError("subset oracle is limited to p <= 13")
     exps = tb.exponents()
-    want_even_sizes = tb.is_knot
     coeffs = [0] * p
-    for mask in range(1 << (p - 1)):
-        sign = 1
-        size = 0
-        ok = True
-        m = mask
-        while m:
-            low = (m & -m).bit_length()  # 1-based position = index i
-            m &= m - 1
-            size += 1
-            if low % 2 != size % 2:
-                ok = False
-                break
-            sign *= exps[low - 1]
-        if not ok:
-            continue
-        if size % 2 == 0 and want_even_sizes:
-            coeffs[size // 2] += sign
-        elif size % 2 == 1 and not want_even_sizes:
-            coeffs[(size + 1) // 2] += sign
-    if not want_even_sizes:
-        coeffs[0] = 0
+    for size in range(1 - p % 2, p, 2):
+        for subset in itertools.combinations(range(1, p), size):
+            if all(i % 2 == k % 2 for k, i in enumerate(subset, start=1)):
+                coeffs[(size + 1) // 2] += math.prod(exps[i - 1] for i in subset)
     return IntPoly.from_list(coeffs)
 
 
-@dataclass(frozen=True)
-class PolyMat2:
-    """2x2 matrix with IntPoly entries; the symbolic side of the word product."""
+def word_matrix(p: int, q: int) -> tuple:
+    """The entries (a, b, c, d) of W = B^e1 A^e2 B^e3 ... as IntPolys.
 
-    a: IntPoly
-    b: IntPoly
-    c: IntPoly
-    d: IntPoly
-
-    @staticmethod
-    def identity() -> "PolyMat2":
-        one = IntPoly((1,))
-        zero = IntPoly(())
-        return PolyMat2(one, zero, zero, one)
-
-    @staticmethod
-    def letter_a(e: int) -> "PolyMat2":
-        return PolyMat2(IntPoly((1,)), IntPoly((e,)), IntPoly(()), IntPoly((1,)))
-
-    @staticmethod
-    def letter_b(e: int) -> "PolyMat2":
-        return PolyMat2(IntPoly((1,)), IntPoly(()), IntPoly((0, e)), IntPoly((1,)))
-
-    def __matmul__(self, other: "PolyMat2") -> "PolyMat2":
-        return PolyMat2(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
-
-    def eval(self, z: complex) -> Mat2:
-        return Mat2(self.a(z), self.b(z), self.c(z), self.d(z))
-
-
-def word_matrix(p: int, q: int) -> PolyMat2:
-    """The symbolic word W = B^e1 A^e2 B^e3 ... as a PolyMat2."""
-    tb = normalize(p, q)
-    w = PolyMat2.identity()
-    for i, e in enumerate(tb.exponents(), start=1):
-        letter = PolyMat2.letter_b(e) if i % 2 == 1 else PolyMat2.letter_a(e)
-        w = w @ letter
-    return w
+    Starting from the identity, right-multiplying by a letter is a column
+    update: B^e adds e z times column 2 to column 1, and A^e adds e times
+    column 1 to column 2.
+    """
+    a, b, c, d = IntPoly((1,)), IntPoly(()), IntPoly(()), IntPoly((1,))
+    for i, e in enumerate(normalize(p, q).exponents(), start=1):
+        if i % 2 == 1:
+            ez = IntPoly((0, e))
+            a, c = a + ez * b, c + ez * d
+        else:
+            b, d = b + IntPoly((e,)) * a, d + IntPoly((e,)) * c
+    return a, b, c, d
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 
 from jnum import words
 from jnum.intpoly import IntPoly
-from jnum.linalg import classify
+from jnum.linalg import Mat2, classify
 from jnum.riley import (
     RILEY_A,
     SCREEN_LEN,
@@ -140,16 +140,19 @@ def test_subset_oracle_cap():
 
 
 def test_word_matrix_entries_are_the_polynomials():
-    for p, q in [(5, 3), (7, 3), (9, 5), (13, 5)]:
-        assert word_matrix(p, q).d == knot_poly(p, q)
-    for p, q in [(4, 1), (8, 3), (12, 5)]:
-        assert word_matrix(p, q).c == link_poly(p, q).raw
+    # the independent check of the DP past the subset oracle's p <= 13
+    for p, q in coprime_fractions(31):
+        a, b, c, d = word_matrix(p, q)
+        if p % 2 == 1:
+            assert d == knot_poly(p, q)
+        else:
+            assert c == link_poly(p, q).raw
 
 
 def test_word_matrix_det_is_one():
-    for p, q in [(5, 3), (7, 3), (9, 5), (8, 3), (4, 1)]:
-        w = word_matrix(p, q)
-        assert w.a * w.d - w.b * w.c == IntPoly.from_list([1])
+    for p, q in coprime_fractions(31):
+        a, b, c, d = word_matrix(p, q)
+        assert a * d - b * c == IntPoly.from_list([1])
 
 
 def test_word_matrix_eval_matches_direct_product():
@@ -162,7 +165,7 @@ def test_word_matrix_eval_matches_direct_product():
             letter = riley_b(z) if i % 2 == 0 else RILEY_A
             step = letter if e == 1 else letter.inv()
             m = step if m is None else m @ step
-        w = word_matrix(p, q).eval(z)
+        w = Mat2(*(e(z) for e in word_matrix(p, q)))
         dev = max(abs(x - y) for x, y in zip(w.entries(), m.entries()))
         assert dev <= 1e-12
 
@@ -171,7 +174,7 @@ def test_intertwining_holds_at_every_root():
     # A W = W B at each root of the knot polynomial, not just the chosen one
     wsym = word_matrix(9, 5)
     for z in solve_roots(knot_poly(9, 5)).roots:
-        w = wsym.eval(z)
+        w = Mat2(*(e(z) for e in wsym))
         b = riley_b(z)
         dev = max(abs(x - y)
                   for x, y in zip((RILEY_A @ w).entries(), (w @ b).entries()))
@@ -346,20 +349,32 @@ def test_report_carries_its_choice():
     assert knot_jreport(7, 3).choice.link_raw is None
 
 
-@pytest.mark.parametrize("z, violated", [(0.1, True), (OMEGA, False)])
+@pytest.mark.parametrize("z, violated", [
+    (0.1, True),
+    (OMEGA, False),
+    # 13/5, root 1: first violation at radius 3, J = 0.152581894669
+    (-0.9170454199948046 + 0.5923794975652379j, True),
+    # 13/7, root 3: first violation at radius 5, J = 0.293267944603
+    (0.14292369037585867 + 1.1595156563348346j, True),
+])
 def test_first_violation_is_the_cheapest_sweep_violation(z, violated):
-    # at z = 0.1 the least J is 0.0100 at radius 2 and 1.0e-4 at radius 3:
-    # the radius-3 screen stops at radius 2 and returns that ball's cheapest
+    # the radius-6 screen returns the cheapest violation of the smallest
+    # radius that has one, although a larger radius has a cheaper one: at
+    # z = 0.1 the least J is 0.0100 at radius 2 and 1.0e-4 at radius 3
     gens = GeneratorSet(("A", "B"), (RILEY_A, riley_b(z)))
-    hit = first_violation(gens, 3)
-    radius2 = inequality_sweep(gens, 2).violations
-    radius3 = inequality_sweep(gens, 3).violations
-    assert bool(radius3) is violated
-    assert (hit is None) is (not radius3)
+    hit = first_violation(gens, 6)
+    for radius in range(2, 7):
+        js = [v[0] for v in inequality_sweep(gens, radius).violations]
+        if js:
+            break
+    assert bool(js) is violated
+    assert (hit is None) is (not js)
     if violated:
-        assert hit[0] == min(v[0] for v in radius2)
-        assert min(v[0] for v in radius3) < hit[0]
-        assert [v[0] for v in radius3] == sorted(v[0] for v in radius3)
+        assert js == sorted(js)
+        assert hit[0] == js[0]
+        later = (min(v[0] for v in inequality_sweep(gens, r).violations)
+                 for r in range(radius + 1, 7))
+        assert any(j < hit[0] for j in later)
 
 
 def test_first_violation_refuses_a_radius_below_two():
