@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat, zip_longest
 
 
 def _trim(coeffs):
@@ -22,9 +23,9 @@ class IntPoly:
     coeffs: tuple  # ascending; empty tuple is the zero polynomial
 
     def __post_init__(self):
-        for c in self.coeffs:
-            if not isinstance(c, int):
-                raise TypeError(f"integer coefficient required, got {c!r}")
+        if not all(map(isinstance, self.coeffs, repeat(int))):
+            bad = next(c for c in self.coeffs if not isinstance(c, int))
+            raise TypeError(f"integer coefficient required, got {bad!r}")
         if self.coeffs and self.coeffs[-1] == 0:
             raise ValueError("highest-degree coefficient must be nonzero")
 
@@ -60,11 +61,8 @@ class IntPoly:
         return acc
 
     def __add__(self, other: "IntPoly") -> "IntPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return IntPoly(_trim(
-            (self.coeffs[i] if i < len(self.coeffs) else 0)
-            + (other.coeffs[i] if i < len(other.coeffs) else 0)
-            for i in range(n)))
+        return IntPoly(_trim([x + y for x, y in zip_longest(self.coeffs, other.coeffs,
+                                                            fillvalue=0)]))
 
     def __neg__(self) -> "IntPoly":
         return IntPoly(tuple(-c for c in self.coeffs))

@@ -17,7 +17,9 @@ rows against the w = n - start columns from the tile's first row on: each
 unordered pair once, as |tr [X, Y] - 2| is symmetric. Tiles share buffers, so a
 tile is valid only until the next. A pair counts as non-elementary when
 |tr [X, Y] - 2| > COMM_EPS, the test of linalg.is_nonelementary, decided
-once in the pass.
+once in the pass. The counting pass of inequality_sweep is folded over
+inverse twins: tr [X^+-1, Y^+-1] is one value, so it pairs one element of
+each {X, X^-1} in the ball, a quarter of the pairs.
 """
 
 from __future__ import annotations
@@ -363,27 +365,61 @@ def _mat_of(row: np.ndarray) -> Mat2:
                 complex(row[1, 0]), complex(row[1, 1]))
 
 
+def _inverse_twins(mats: np.ndarray) -> np.ndarray:
+    """partner[i]: the index of mats[i]'s inverse in mats, or -1 when it has none.
+
+    The grid key of the adjugate [[d, -b], [-c, a]] of each element is looked up
+    among the keys of mats, and two elements are twins only when the match is
+    mutual and they are different elements: an involution (trace 0) is its own
+    inverse and stays alone, as does an element whose inverse is not in mats.
+    """
+    import numpy as np
+    a, b, c, d = mats.reshape(len(mats), 4).T
+    adj = np.stack((d, -b, -c, a), axis=1)
+    index = {key: i for i, key in enumerate(_canonical_keys(mats).view("V64")[:, 0].tolist())}
+    partner = np.array([index.get(key, -1)
+                        for key in _canonical_keys(adj).view("V64")[:, 0].tolist()],
+                       dtype=np.int64)
+    ids = np.arange(len(mats))
+    twin = (partner >= 0) & (partner != ids)
+    twin[twin] = partner[partner[twin]] == ids[twin]
+    return np.where(twin, partner, -1)
+
+
 def _pair_pass(mats: np.ndarray, threshold: float, count: bool):
     """(n_candidates, J, x, y): the non-elementary ordered pairs (mats[x], mats[y])
     with J below threshold, in ascending J and ties in (x, y) order.
 
     J(X, Y) = |tr^2 X - 4| + |tr [X, Y] - 2| is never below the defect
     |tr^2 X - 4|, in floats too, so the rows with a defect below threshold
-    move to the front, in order, and only their tiles are formed; with
-    count every tile is, and n_candidates counts the ordered pairs with
-    |tr [X, Y] - 2| > COMM_EPS. Since that value is symmetric in X and Y, an
-    entry right of its tile's square part stands for both orders.
+    move to the front, in order, and only their tiles are formed. Since
+    |tr [X, Y] - 2| is symmetric in X and Y, an entry right of its tile's
+    square part stands for both orders.
+
+    With count every tile is formed, and n_candidates counts the ordered
+    pairs with |tr [X, Y] - 2| > COMM_EPS. That pass is folded over inverse
+    twins: tr X^-1 = tr X and [X^-1, Y] is conjugate to [X, Y]^-1, so J is one
+    value on (X^+-1, Y^+-1). Only the lower index of each twin pair is swept,
+    with weight 2 (1 when alone); n_candidates is n^2 less the weight products
+    of the few elementary swept pairs, and each violating pair expands to
+    every member of its two twin pairs, with its J.
     """
     import numpy as np
-    tr = mats[:, 0, 0] + mats[:, 1, 1]
+    partner = _inverse_twins(mats) if count else np.full(len(mats), -1)
+    reps = np.flatnonzero((partner < 0) | (partner > np.arange(len(mats))))
+    tr = mats[reps, 0, 0] + mats[reps, 1, 1]
     defect = np.abs(tr * tr - 4.0)
     order = np.argsort(defect >= threshold, kind="stable")
     n_low = int(np.count_nonzero(defect < threshold))
-    defect = defect[order]
-    n_candidates, hits = 0, [(np.empty(0), order[:0], order[:0])]
-    for start, dev in _pair_devs(mats[order], len(mats) if count else n_low):
+    defect, order = defect[order], reps[order]
+    weight = np.where(partner[order] < 0, 1, 2)
+    n_candidates, hits = len(mats) ** 2, [(np.empty(0), order[:0], order[:0])]
+    for start, dev in _pair_devs(mats[order], len(order) if count else n_low):
         cand = dev > tol.COMM_EPS
-        n_candidates += 2 * np.count_nonzero(cand) - np.count_nonzero(cand[:, :len(dev)])
+        if count:
+            r, c = np.divmod(np.flatnonzero(~cand), dev.shape[1])  # elementary, or NaN
+            w = weight[start + r] * weight[start + c]
+            n_candidates -= 2 * int(w.sum()) - int(w[c < len(dev)].sum())
         if start >= n_low:
             continue
         r, c = np.nonzero(cand & (dev < threshold))  # J >= dev, in floats too
@@ -394,8 +430,12 @@ def _pair_pass(mats: np.ndarray, threshold: float, count: bool):
         keep = jv < threshold
         hits.append((jv[keep], order[x[keep]], order[y[keep]]))
     jv, x, y = (np.concatenate(part) for part in zip(*hits))
+    px, py = partner[x], partner[y]
+    x, y = np.concatenate((x, x, px, px)), np.concatenate((y, py, y, py))
+    jv, keep = np.tile(jv, 4), (x >= 0) & (y >= 0)
+    jv, x, y = jv[keep], x[keep], y[keep]
     by_j = np.lexsort((y, x, jv))
-    return int(n_candidates), jv[by_j], x[by_j], y[by_j]
+    return n_candidates, jv[by_j], x[by_j], y[by_j]
 
 
 def first_violation(gens: GeneratorSet, max_len: int,
@@ -436,6 +476,7 @@ def inequality_sweep(gens: GeneratorSet, max_len: int,
         raise ValueError(f"max_len {max_len} below 1: the ball has no pairs")
     mats = _ball_elements(gens, max_len)
     n_candidates, jv, x, y = _pair_pass(mats, threshold, count=True)
-    violations = tuple((float(j), _mat_of(mats[a]), _mat_of(mats[b]))
-                       for j, a, b in zip(jv, x, y))
+    elems = {i: _mat_of(mats[i]) for i in set(x.tolist()) | set(y.tolist())}
+    violations = tuple((j, elems[a], elems[b])
+                       for j, a, b in zip(jv.tolist(), x.tolist(), y.tolist()))
     return SweepReport(len(mats), len(mats) ** 2, n_candidates, violations, threshold)

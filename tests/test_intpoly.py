@@ -16,6 +16,13 @@ def test_construction_trims_and_normalizes():
     assert IntPoly((1, 2, 1)).degree == 2
 
 
+def test_construction_refuses_a_non_integer_or_a_zero_lead():
+    with pytest.raises(TypeError, match="got 2.0"):
+        IntPoly((1, 2.0, 3))
+    with pytest.raises(ValueError, match="highest-degree"):
+        IntPoly((1, 0))
+
+
 def test_parse_and_format_round_trip():
     p = IntPoly.parse("1,-2,3,-1,1")
     assert p.coeffs == (1, -2, 3, -1, 1)
@@ -36,6 +43,9 @@ def test_ring_operations():
     q = IntPoly((-1, 1))
     assert (p * q).coeffs == (-1, 0, 1)
     assert (p + q).coeffs == (0, 2)
+    assert (p + IntPoly((0, 0, 5))).coeffs == (1, 1, 5)
+    assert (IntPoly((0, 0, 5)) + p).coeffs == (1, 1, 5)
+    assert (IntPoly((1, 2, 3)) + IntPoly((0, 0, -3))).coeffs == (1, 2)
     assert (p - p).is_zero
     assert (-p).coeffs == (-1, -1)
 

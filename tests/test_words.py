@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from jnum import tolerances as tol
 from jnum import words
-from jnum.catalog import bianchi_generators, knot_table
+from jnum.catalog import BIANCHI_DS, bianchi_generators, knot_table
 from jnum.linalg import Mat2, commutator, is_nonelementary, jorgensen_pair, proj_dist
 from jnum.riley import RILEY_A, riley_b
 from jnum.words import (GeneratorSet, Word, ball_levels, evaluate,
@@ -431,3 +431,81 @@ def test_pair_sweeps_of_an_identity_generator_find_no_pairs():
     rep = inequality_sweep(gens, 3)
     assert (rep.n_elements, rep.n_pairs, rep.n_candidates, rep.violations) == (0, 0, 0, ())
     assert first_violation(gens, 3) is None
+    assert len(words._inverse_twins(words._ball_elements(gens, 3))) == 0
+
+
+# --- inverse twins -------------------------------------------------------------
+
+def test_inverse_twins_are_mutual_inverses():
+    mats = BIANCHI1_BALL5
+    partner = words._inverse_twins(mats)
+    paired = np.flatnonzero(partner >= 0)
+    assert len(paired) > 0.9 * len(mats)
+    assert np.array_equal(partner[partner[paired]], paired)
+    assert np.all(partner[paired] != paired)
+    for i in paired:
+        x, y = words._mat_of(mats[i]), words._mat_of(mats[partner[i]])
+        assert x.proj_eq(y.inv()) and y.proj_eq(x.inv())
+
+
+def test_involutions_stay_alone():
+    # Bianchi d = 1 holds elements of order 2 in PSL(2, C): trace 0, X = X^-1
+    mats = BIANCHI1_BALL5
+    tr = mats[:, 0, 0] + mats[:, 1, 1]
+    involution = np.abs(tr) <= tol.CX_EPS
+    assert np.count_nonzero(involution) > 0
+    assert np.all(words._inverse_twins(mats)[involution] == -1)
+
+
+def test_a_prefix_leaves_the_twins_past_its_end_alone():
+    # the ball is closed under inversion, a prefix of it is not: an element
+    # whose inverse lies past the prefix has no twin in it
+    full = words._inverse_twins(BIANCHI1_BALL5)
+    k = 300
+    partner = words._inverse_twins(BIANCHI1_BALL5[:k])
+    cut = full[:k] >= k
+    assert np.count_nonzero(cut) > 0
+    assert np.all(partner[cut] == -1)
+    assert np.array_equal(partner[~cut], full[:k][~cut])
+
+
+def test_folded_pass_matches_a_full_reference_with_many_violations():
+    # <A, B(0.3 + 0.2i)> is not discrete: its radius-4 ball holds thousands
+    # of violations, and each violating pair shows all four of (X^+-1, Y^+-1)
+    gens = GeneratorSet(("A", "B"), (RILEY_A, riley_b(0.3 + 0.2j)))
+    mats, threshold = words._ball_elements(gens, 4), 1.0 - tol.J_EPS
+    dev = full_pair_devs(mats)
+    tr = mats[:, 0, 0] + mats[:, 1, 1]
+    jval = np.abs(tr * tr - 4.0)[:, None] + dev
+    cand = dev > tol.COMM_EPS
+    n_candidates, jv, x, y = words._pair_pass(mats, threshold, count=True)
+    assert n_candidates == int(np.count_nonzero(cand))
+    got = set(zip(x.tolist(), y.tolist()))
+    rx, ry = np.nonzero(cand & (jval < threshold))
+    assert got == set(zip(rx.tolist(), ry.tolist()))
+    assert len(got) > 1000
+    partner = words._inverse_twins(mats)
+    for a, b in got:
+        for a2 in {a, partner[a]} - {-1}:
+            for b2 in {b, partner[b]} - {-1}:
+                assert (a2, b2) in got
+    assert np.allclose(jv, jval[x, y], rtol=1e-9, atol=0.0)
+    assert np.all(np.diff(jv) >= 0)
+
+
+@pytest.mark.parametrize("d", [None, *BIANCHI_DS], ids=lambda d: f"d{d}" if d else "fig8")
+def test_folded_count_matches_an_unfolded_count_on_the_sweep_groups(d):
+    gens = FIG8 if d is None else bianchi_generators(d)
+    rep = inequality_sweep(gens, 5)
+    mats = words._ball_elements(gens, 5)
+    assert rep.n_candidates == int(np.count_nonzero(full_pair_devs(mats) > tol.COMM_EPS))
+
+
+def test_sweep_violations_carry_their_pairs_j():
+    # each violating element is built once and shared by its pairs
+    gens = GeneratorSet(("A", "B"), (RILEY_A, riley_b(0.1)))
+    rep = inequality_sweep(gens, 3)
+    assert len(rep.violations) > 100
+    assert len({id(m) for v in rep.violations for m in v[1:]}) <= rep.n_elements
+    for j, x, y in rep.violations:
+        assert math.isclose(j, jorgensen_pair(x, y).value, rel_tol=1e-9)
