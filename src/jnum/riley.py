@@ -298,10 +298,11 @@ def select_geometric_root(tb: TwoBridge, root_index: Optional[int] = None,
     representations into PSL2(R), never the discrete faithful one of a
     hyperbolic two-bridge complement). Of each conjugate pair the root in
     the upper half plane is screened by first_violation on <A, B(z)>: one
-    ball of radius sample_len, swept at radii 2..sample_len in turn, where a
-    non-elementary pair with J < 1 - SCREEN_SLACK rejects it. The survivor
-    of smallest modulus is chosen. root_index bypasses the screen and picks
-    that position.
+    ball of radius sample_len, swept at radii 2..sample_len in turn by the
+    pair pass folded over inverse twins (one element of each {X, X^-1}),
+    where a non-elementary pair with J < 1 - SCREEN_SLACK rejects it. The
+    survivor of smallest modulus is chosen. root_index bypasses the screen
+    and picks that position.
     """
     if sample_len < 2:
         raise ValueError(f"screen length {sample_len} below 2 would screen nothing")

@@ -8,18 +8,17 @@ projective dedup on a 1e-6 quantization grid; min_loxodromic_defect
 takes the ball's trace set from cyclically reduced necklaces instead. A
 Python set holds the grid key of every element seen so far, and each
 level keeps the first candidate, in order, of each key not yet in it.
-One pair pass serves both inequality checks. J is never below the
-defect |tr^2 X - 4|, so unless it counts candidates the pass forms the
-pairs of only the rows X with a defect below the threshold, moved to
-the front. The pair kernel forms tr [X, Y] - 2 = (s - p)(s + p), as in
-linalg.commutator_dev, in tiles of k = min(rows left, max(1, _PAIR_ENTRIES // w))
-rows against the w = n - start columns from the tile's first row on: each
-unordered pair once, as |tr [X, Y] - 2| is symmetric. Tiles share buffers, so a
-tile is valid only until the next. A pair counts as non-elementary when
-|tr [X, Y] - 2| > COMM_EPS, the test of linalg.is_nonelementary, decided
-once in the pass. The counting pass of inequality_sweep is folded over
-inverse twins: tr [X^+-1, Y^+-1] is one value, so it pairs one element of
-each {X, X^-1} in the ball, a quarter of the pairs.
+One pair pass serves both inequality checks, folded over inverse twins:
+tr [X^+-1, Y^+-1] is one value, so it pairs one element of each {X, X^-1},
+a quarter of the pairs. J is never below the defect |tr^2 X - 4|, so
+unless it counts candidates the pass forms the pairs of only the rows X
+with a defect below the threshold, moved to the front. The pair kernel
+forms tr [X, Y] - 2 = (s - p)(s + p), as in linalg.commutator_dev, in tiles
+of k = min(rows left, max(1, _PAIR_ENTRIES // w)) rows against the
+w = n - start columns from the tile's first row on: each unordered pair once,
+as |tr [X, Y] - 2| is symmetric. Tiles share buffers, so a tile is valid only
+until the next. A pair counts as non-elementary when |tr [X, Y] - 2| >
+COMM_EPS, the test of linalg.is_nonelementary, decided once in the pass.
 """
 
 from __future__ import annotations
@@ -390,22 +389,20 @@ def _pair_pass(mats: np.ndarray, threshold: float, count: bool):
     """(n_candidates, J, x, y): the non-elementary ordered pairs (mats[x], mats[y])
     with J below threshold, in ascending J and ties in (x, y) order.
 
+    The pass is folded over inverse twins: tr X^-1 = tr X and [X^-1, Y] is
+    conjugate to [X, Y]^-1, so J is one value on (X^+-1, Y^+-1). Only the lower
+    index of each twin pair is swept, with weight 2 (1 when alone), and each
+    violating pair expands to every member of its two twin pairs, with its J.
     J(X, Y) = |tr^2 X - 4| + |tr [X, Y] - 2| is never below the defect
-    |tr^2 X - 4|, in floats too, so the rows with a defect below threshold
-    move to the front, in order, and only their tiles are formed. Since
-    |tr [X, Y] - 2| is symmetric in X and Y, an entry right of its tile's
-    square part stands for both orders.
-
-    With count every tile is formed, and n_candidates counts the ordered
-    pairs with |tr [X, Y] - 2| > COMM_EPS. That pass is folded over inverse
-    twins: tr X^-1 = tr X and [X^-1, Y] is conjugate to [X, Y]^-1, so J is one
-    value on (X^+-1, Y^+-1). Only the lower index of each twin pair is swept,
-    with weight 2 (1 when alone); n_candidates is n^2 less the weight products
-    of the few elementary swept pairs, and each violating pair expands to
-    every member of its two twin pairs, with its J.
+    |tr^2 X - 4|, in floats too, so the swept rows with a defect below
+    threshold move to the front, in order, and only their tiles are formed.
+    Since |tr [X, Y] - 2| is symmetric in X and Y, an entry right of its
+    tile's square part stands for both orders. With count every tile is
+    formed, and n_candidates, the ordered pairs with |tr [X, Y] - 2| > COMM_EPS,
+    is n^2 less the weight products of the few elementary swept pairs.
     """
     import numpy as np
-    partner = _inverse_twins(mats) if count else np.full(len(mats), -1)
+    partner = _inverse_twins(mats)
     reps = np.flatnonzero((partner < 0) | (partner > np.arange(len(mats))))
     tr = mats[reps, 0, 0] + mats[reps, 1, 1]
     defect = np.abs(tr * tr - 4.0)
@@ -442,9 +439,11 @@ def first_violation(gens: GeneratorSet, max_len: int,
                     threshold: float = 1.0 - tol.J_EPS):
     """Cheapest violation in the smallest ball of radius 2..max_len that has one.
 
-    One ball is built to max_len and its radii 2, 3, ... are swept in
-    turn; the first non-elementary pair with J below threshold, in
-    ascending J, is returned as (J, x, y), else None.
+    One ball is built to max_len and its radii 2, 3, ... are swept in turn
+    by the folded pair pass; a radius holds the inverse of each element it
+    holds, so each pairs one element of each {X, X^-1}. The first
+    non-elementary pair with J below threshold, in ascending J, is returned
+    as (J, x, y), else None.
     """
     import numpy as np
     if max_len < 2:

@@ -279,6 +279,30 @@ def test_inequality_sweep_matches_the_pair_oracle(z, threshold):
     assert np.allclose(got, js, rtol=1e-9, atol=0.0)
 
 
+@pytest.mark.parametrize("z, radius", [
+    (0.1, 2),
+    (0.3 + 0.2j, 2),
+    (-0.9170454199948046 + 0.5923794975652379j, 3),  # 13/5, root 1
+    (Z8, None),
+    (0.14292369037585867 + 1.1595156563348346j, None),  # 13/7, root 3: radius 5
+], ids=["small_c", "z0.3+0.2i", "13/5", "fig8", "13/7"])
+def test_first_violation_matches_the_pair_oracle(z, radius):
+    # the screen pairs one element of each {X, X^-1}; the oracle pairs every
+    # element of each radius with every other, one pair at a time
+    gens = GeneratorSet(("A", "B"), (RILEY_A, riley_b(z)))
+    threshold = 1.0 - tol.SCREEN_SLACK
+    hit = first_violation(gens, 4, threshold)
+    for r in range(2, 5):
+        js = oracle_sweep(gens, r, threshold)[1]
+        if js:
+            break
+    assert (r if js else None) == radius
+    assert (hit is None) is (not js)
+    if js:
+        assert math.isclose(hit[0], js[0], rel_tol=1e-12)
+        assert math.isclose(jorgensen_pair(hit[1], hit[2]).value, hit[0], rel_tol=1e-9)
+
+
 def assert_tile_rule(tiles, n, n_rows):
     """The tiles (start, (k, width)) start in order, cover rows
     0..n_rows - 1 once, pair their rows with the columns from their first
@@ -457,6 +481,9 @@ def test_involutions_stay_alone():
     assert np.all(words._inverse_twins(mats)[involution] == -1)
 
 
+Z73 = -0.21507985450097342 + 1.3071412786820455j  # the root 7/3's screen keeps
+
+
 def test_a_prefix_leaves_the_twins_past_its_end_alone():
     # the ball is closed under inversion, a prefix of it is not: an element
     # whose inverse lies past the prefix has no twin in it
@@ -467,6 +494,18 @@ def test_a_prefix_leaves_the_twins_past_its_end_alone():
     assert np.count_nonzero(cut) > 0
     assert np.all(partner[cut] == -1)
     assert np.array_equal(partner[~cut], full[:k][~cut])
+    # X^-1 has the word length of X, so a prefix that ends at a level
+    # boundary cuts no twin: each radius of a screen is folded whole
+    for gens, max_len in ((bianchi_generators(1), 5),
+                          (GeneratorSet(("A", "B"), (RILEY_A, riley_b(Z73))), 6)):
+        levels = ball_levels(gens, max_len)
+        mats = np.concatenate(levels[1:])
+        full = words._inverse_twins(mats)
+        for k in np.cumsum([len(level) for level in levels[1:]]):
+            assert np.all(full[:k] < k)
+            assert np.array_equal(words._inverse_twins(mats[:k]), full[:k])
+    # 7/3's screen ball holds no involution, so each radius sweeps half of it
+    assert np.all(full >= 0)
 
 
 def test_folded_pass_matches_a_full_reference_with_many_violations():
