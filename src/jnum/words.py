@@ -23,7 +23,9 @@ COMM_EPS, the test of linalg.is_nonelementary, decided once in the pass.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import tolerances as tol
 from .linalg import IDENT, Mat2
@@ -56,14 +58,9 @@ class Word:
         """Build a word from (index, exponent) pairs, freely reducing."""
         out = []
         for idx, exp in pairs:
-            if exp == 0:
-                continue
             if out and out[-1][0] == idx:
-                merged = out[-1][1] + exp
-                out.pop()
-                if merged:
-                    out.append((idx, merged))
-            else:
+                exp += out.pop()[1]
+            if exp:
                 out.append((idx, exp))
         return Word(tuple(out))
 
@@ -75,29 +72,15 @@ class Word:
         """
         index = {name: i for i, name in enumerate(names)}
         pairs = []
-        i = 0
-        while i < len(text):
-            ch = text[i]
-            if ch == " ":
-                i += 1
-                continue
+        for ch, prime in re.findall(r"([^ ])('?)", text):  # spaces are skipped
             if ch not in index:
                 raise ValueError(f"unknown generator {ch!r}")
-            exp = 1
-            if i + 1 < len(text) and text[i + 1] == "'":
-                exp = -1
-                i += 1
-            pairs.append((index[ch], exp))
-            i += 1
+            pairs.append((index[ch], -1 if prime else 1))
         return Word.from_letters(pairs)
 
     def show(self, names) -> str:
-        if not self.letters:
-            return "1"
-        parts = []
-        for idx, exp in self.letters:
-            parts.append(names[idx] if exp == 1 else f"{names[idx]}^{exp}")
-        return " ".join(parts)
+        return " ".join(names[idx] if exp == 1 else f"{names[idx]}^{exp}"
+                        for idx, exp in self.letters) or "1"
 
 
 @dataclass(frozen=True)
@@ -273,34 +256,56 @@ def _primitive_min_defect(traces: np.ndarray) -> float:
     raise SearchError("every loxodromic class resolved as a power")  # unreachable
 
 
-def _necklace_traces(gens: GeneratorSet, max_len: int) -> np.ndarray:
-    """Traces of the cyclically reduced necklaces of length 1..max_len.
+@lru_cache(maxsize=1)
+def _necklace_tree(ns: int, max_len: int) -> tuple:
+    """Read-only (src, nxt, neck) for each length 2..max_len: the parent row, the
+    last symbol and the cyclically reduced necklace mask of each pre-necklace.
 
     A necklace is the lexicographically least rotation of a word, periodic
     ones included. The Fredricksen-Kessler-Maiorana pre-necklace tree is
-    grown one length at a time: a row (word, period p, prefix product) of
-    length L takes a symbol b that is not the inverse of its last symbol
-    and is >= word[L - p]; the period stays p when b equals word[L - p]
-    and becomes L + 1 otherwise. A row with L % p == 0 is a necklace, and
-    it is cyclically reduced when its first symbol is not the inverse of
-    its last.
+    grown one length at a time: a row (word, period p) of length L takes a
+    symbol b that is not the inverse of its last symbol and is >= word[L - p];
+    the period stays p when b equals word[L - p] and becomes L + 1 otherwise.
+    A row with L % p == 0 is a necklace, and it is cyclically reduced when
+    its first symbol is not the inverse of its last. The tree depends only
+    on (ns, max_len), so one build serves every group over ns symbols.
     """
     import numpy as np
-    syms = _symbol_array(gens)
-    ns = len(syms)
     word = np.arange(ns, dtype=np.int8)[:, None]
     period = np.ones(ns, dtype=np.int64)
-    prod = syms
-    traces = [prod[:, 0, 0] + prod[:, 1, 1]]
+    levels = []
     for length in range(1, max_len):
         ref = word[np.arange(len(word)), length - period]
         src, nxt = np.nonzero((np.arange(ns) != (word[:, -1, None] ^ 1))
                               & (np.arange(ns) >= ref[:, None]))
         word = np.concatenate((word[src], nxt[:, None].astype(np.int8)), axis=1)
         period = np.where(nxt == ref[src], period[src], length + 1)
-        prod = np.einsum("nij,njk->nik", prod[src], syms[nxt])
         neck = ((length + 1) % period == 0) & (word[:, 0] != (word[:, -1] ^ 1))
-        traces.append(prod[neck, 0, 0] + prod[neck, 1, 1])
+        for arr in (src, nxt, neck):
+            arr.flags.writeable = False
+        levels.append((src, nxt, neck))
+    return tuple(levels)
+
+
+def _necklace_traces(gens: GeneratorSet, max_len: int) -> np.ndarray:
+    """Traces of the cyclically reduced necklaces of length 1..max_len.
+
+    The products of _necklace_tree's rows are one (2, 2, n) array, a row per
+    entry, each level formed from its parents and last symbols with 8 complex
+    multiplies; the last level forms only its necklaces' traces.
+    """
+    import numpy as np
+    syms = _symbol_array(gens).transpose(1, 2, 0)
+    prod, tree = syms, _necklace_tree(syms.shape[2], max_len)
+    traces = [prod[0, 0] + prod[1, 1]]
+    for src, nxt, neck in tree[:-1]:
+        p, s = np.take(prod, src, axis=2), np.take(syms, nxt, axis=2)
+        prod = p[:, :1] * s[0] + p[:, 1:] * s[1]
+        traces.append(prod[0, 0, neck] + prod[1, 1, neck])
+    for src, nxt, neck in tree[-1:]:  # tr P S = a sa + b sc + c sb + d sd
+        p, s = np.take(prod, src[neck], axis=2), np.take(syms, nxt[neck], axis=2)
+        traces.append((p[0, 0] * s[0, 0] + p[0, 1] * s[1, 0])
+                      + (p[1, 0] * s[0, 1] + p[1, 1] * s[1, 1]))
     return np.concatenate(traces)
 
 
@@ -316,10 +321,12 @@ def min_loxodromic_defect(gens: GeneratorSet, max_len: int) -> float:
     trace of its cyclically reduced core c, a rotation of a necklace of
     length <= max_len. Conversely each such necklace's element is in the
     ball, or its grid-dedup partner with the same trace is. So the
-    necklace traces, periodic ones included, are the ball's trace set:
-    146,664 products at length 12 where the ball has about 1.06 M
-    elements. Powers are still found from the traces, since a word that
-    is no power in the free group can be a proper power in the group.
+    necklace traces, periodic ones included, are the ball's trace set. At
+    length 12 that is products for the 53,632 rows of lengths 1..11, then
+    traces for the 44,370 length-12 necklaces, from a tree built once per
+    (symbol count, length), where the ball has about 1.06 M elements.
+    Powers are still found from the traces, since a word that is no power
+    in the free group can be a proper power in the group.
     """
     if max_len > MAX_BALL_LEN:
         raise ValueError(f"max_len capped at {MAX_BALL_LEN}")

@@ -1,5 +1,8 @@
+import itertools
 import math
 import tracemalloc
+from functools import reduce
+from operator import matmul
 
 import numpy as np
 import pytest
@@ -198,10 +201,15 @@ def _sign_canonical(traces):
     return t
 
 
+def _nearest(points, targets):
+    """The distance from each point to the nearest target."""
+    return np.concatenate([np.abs(block[:, None] - targets[None, :]).min(axis=1)
+                           for block in np.array_split(points, max(1, len(points) // 1024))])
+
+
 def _farthest_from(points, targets):
     """max over points of the distance to the nearest target."""
-    return max(np.abs(block[:, None] - targets[None, :]).min(axis=1).max()
-               for block in np.array_split(points, max(1, len(points) // 1024)))
+    return _nearest(points, targets).max()
 
 
 @pytest.mark.parametrize("label", TABLE_KNOTS)
@@ -212,6 +220,48 @@ def test_necklace_traces_are_the_ball_trace_set(label):
     necklace = np.unique(_sign_canonical(words._necklace_traces(gens, 8)))
     assert _farthest_from(ball, necklace) <= tol.CLASS_EPS
     assert _farthest_from(necklace, ball) <= tol.CLASS_EPS
+
+
+THREE_GENS = GeneratorSet(("A", "B", "C"),
+                          (RILEY_A, riley_b(Z8), Mat2(1 + 1j, 1, 1j, 1)))
+
+
+def _oracle_necklace_traces(gens, max_len):
+    """Traces of the cyclically reduced least rotations of length 1..max_len:
+    every word over the symbols g, g^-1 by itertools.product, multiplied out."""
+    syms = [m for g in gens.mats for m in (g, g.inv())]  # symbol 2i + 1 inverts 2i
+    out = []
+    for length in range(1, max_len + 1):
+        for w in itertools.product(range(len(syms)), repeat=length):
+            if any(a == b ^ 1 for a, b in zip(w, w[1:] + w[:1])):
+                continue  # not cyclically reduced
+            if any(w[k:] + w[:k] < w for k in range(1, length)):
+                continue  # not the least rotation
+            out.append(reduce(matmul, (syms[k] for k in w)).trace)
+    return np.array(out)
+
+
+def test_necklace_traces_match_the_product_oracle_at_arity_2_and_3():
+    # interleaved, so that a tree cached on the wrong key gives the wrong rows
+    for gens, max_len, n in ((FIG8, 5, 102), (THREE_GENS, 5, 868), (FIG8, 8, 1386)):
+        fast = words._necklace_traces(gens, max_len)
+        slow = _oracle_necklace_traces(gens, max_len)
+        assert len(fast) == len(slow) == n
+        for a, b in ((fast, slow), (slow, fast)):
+            assert (_nearest(a, b) <= 1e-9 * (1 + np.abs(a))).all()
+
+
+def test_the_necklace_tree_is_cached_and_read_only():
+    tree = words._necklace_tree(6, 4)
+    assert words._necklace_tree(6, 4) is tree
+    assert len(tree) == 3
+    for level in tree:
+        for arr in level:
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = arr[0]
+    assert words._necklace_tree(6, 1) == ()
+    generators = [m.trace for g in THREE_GENS.mats for m in (g, g.inv())]
+    assert words._necklace_traces(THREE_GENS, 1).tolist() == generators
 
 
 def test_min_loxodromic_defect_refuses_short_and_overlong_lengths():
