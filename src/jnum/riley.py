@@ -297,10 +297,11 @@ def select_geometric_root(tb: TwoBridge, root_index: Optional[int] = None,
     and decides each root's status. Real roots are discarded (they give
     representations into PSL2(R), never the discrete faithful one of a
     hyperbolic two-bridge complement). Of each conjugate pair the root in
-    the upper half plane is screened by first_violation on <A, B(z)>: one
-    ball of radius sample_len, swept at radii 2..sample_len in turn by the
-    pair pass folded over inverse twins (one element of each {X, X^-1}),
-    where a non-elementary pair with J < 1 - SCREEN_SLACK rejects it. The
+    the upper half plane is screened by first_violation on <A, B(z)>: a
+    ball grown one radius at a time up to sample_len, each radius from 2 on
+    swept as soon as it is built by the pair pass folded over inverse twins
+    (one element of each {X, X^-1}), where a non-elementary pair with
+    J < 1 - SCREEN_SLACK rejects it and stops the growth. The
     survivor of smallest modulus is chosen. root_index bypasses the screen
     and picks that position.
     """

@@ -5,9 +5,13 @@ inequality checks.
 The aggregate operations min_c_entry, first_violation and
 inequality_sweep walk a breadth-first ball of group elements with
 projective dedup on a 1e-6 quantization grid; min_loxodromic_defect
-takes the ball's trace set from cyclically reduced necklaces instead. A
-Python set holds the grid key of every element seen so far, and each
-level keeps the first candidate, in order, of each key not yet in it.
+takes the ball's trace set from cyclically reduced necklaces instead and
+walks it in ascending defect |tr^2 - 4|, stopping at the first trace that
+is no power, with no sort into classes. A Python set holds the grid key of
+every element seen so far, and each level keeps the first candidate, in
+order, of each key not yet in it. The ball grows one radius at a time, so
+first_violation pairs each radius as soon as it is built and builds no
+level past the radius that rejects.
 One pair pass serves both inequality checks, folded over inverse twins:
 tr [X^+-1, Y^+-1] is one value, so it pairs one element of each {X, X^-1},
 a quarter of the pairs. J is never below the defect |tr^2 X - 4|, so
@@ -32,6 +36,7 @@ from .linalg import IDENT, Mat2
 
 MAX_BALL_LEN = 16  # the longest word length a ball is built to
 _PAIR_ENTRIES = 1 << 16  # pairs per pair-kernel tile, so its buffers stay in cache
+_DEFECT_HEAD = 64  # traces the defect walk orders before it sorts them all
 
 
 class SearchError(RuntimeError):
@@ -146,13 +151,8 @@ def _canonical_keys(mats: np.ndarray) -> np.ndarray:
     return q
 
 
-def ball_levels(gens: GeneratorSet, max_len: int):
-    """Breadth-first ball of group elements, one (n,2,2) array per radius.
-
-    Level 0 is the identity. Elements are deduplicated projectively across
-    all levels, so each group element appears once, at its word-length radius
-    (up to grid collisions at the 1e-6 quantization).
-    """
+def _grow_ball(gens: GeneratorSet, max_len: int):
+    """Yield the levels of ball_levels one radius at a time, each as it is built."""
     import numpy as np
     if max_len > MAX_BALL_LEN:
         raise ValueError(f"max_len capped at {MAX_BALL_LEN}")
@@ -160,7 +160,7 @@ def ball_levels(gens: GeneratorSet, max_len: int):
     ns = len(syms)
     ident = np.eye(2, dtype=np.complex128)[None]
     seen = {_canonical_keys(ident).tobytes()}  # grid keys of every element so far
-    levels = [ident]
+    yield ident
     frontier = ident
     last = np.full(1, -1, dtype=np.int64)
     for _ in range(max_len):
@@ -177,8 +177,17 @@ def ball_levels(gens: GeneratorSet, max_len: int):
                 keep.append(i)
         frontier = cand[keep]
         last = nxt[keep]
-        levels.append(frontier)
-    return levels
+        yield frontier
+
+
+def ball_levels(gens: GeneratorSet, max_len: int):
+    """Breadth-first ball of group elements, one (n,2,2) array per radius.
+
+    Level 0 is the identity. Elements are deduplicated projectively across
+    all levels, so each group element appears once, at its word-length radius
+    (up to grid collisions at the 1e-6 quantization).
+    """
+    return list(_grow_ball(gens, max_len))
 
 
 def _ball_elements(gens: GeneratorSet, max_len: int) -> np.ndarray:
@@ -218,6 +227,22 @@ def _loxodromic_mask(traces: np.ndarray) -> np.ndarray:
     return nonreal | hyper
 
 
+def _reach_size(reach):
+    """2 cosh(reach), widened by ROUND_EPS: no trace with re lam <= reach is larger."""
+    import numpy as np
+    return 2.0 * np.cosh(reach) * (1.0 + tol.ROUND_EPS)
+
+
+def _ascending(values: np.ndarray):
+    """Yield the indices of values in ascending order, lazily: the _DEFECT_HEAD
+    least are ordered by a partition, and every index is sorted only if the
+    caller reads past them, when the walk starts over from the least."""
+    import numpy as np
+    head = np.argpartition(values, min(_DEFECT_HEAD, len(values)) - 1)[:_DEFECT_HEAD]
+    yield from head[np.argsort(values[head])].tolist()
+    yield from np.argsort(values).tolist()
+
+
 def _primitive_min_defect(traces: np.ndarray) -> float:
     """Minimum |tr^2 - 4| over trace classes that are not proper powers.
 
@@ -226,30 +251,32 @@ def _primitive_min_defect(traces: np.ndarray) -> float:
     integer multiple n >= 2 of re lam_h and im lam_g = n im lam_h mod pi.
     Detection is complete when the traces include the root class, which
     holds for the necklace traces of the lengths exercised here.
+
+    The traces, sign-canonical, are walked in ascending defect, and the
+    first that is no power is the answer, so no class is formed: members of
+    one class pass or fail the test together, and n >= 2 keeps a class from
+    being its own root. A root of trace i has re lam <= reach = re lam_i / 2
+    + LENGTH_SLACK, so |t| = |e^lam + e^-lam| <= 2 cosh(re lam) <= 2 cosh(reach)
+    (Beardon 1983, 4.3); only the traces inside that bound, widened by
+    ROUND_EPS for rounding, have their lam taken.
     """
     import numpy as np
     t = traces.copy()
     near_zero = np.abs(t.real) <= tol.ROUND_EPS
     flip = (t.real < -tol.ROUND_EPS) | (near_zero & (t.imag < 0))
     t[flip] *= -1
-    t = t[np.argsort(t, kind="stable")]
-    fresh = np.empty(len(t), dtype=bool)
-    fresh[0] = True
-    fresh[1:] = np.abs(np.diff(t)) > tol.CLASS_EPS
-    reps = t[fresh]
-    lam = np.arccosh(reps / 2.0)
-    lam_re = np.abs(lam.real)
-    lam_im = lam.imag
-    defect = np.abs(reps * reps - 4.0)
-    for i in np.argsort(defect):
-        candidates = lam_re <= lam_re[i] / 2.0 + tol.LENGTH_SLACK
-        candidates[i] = False
-        if not candidates.any():
-            return float(defect[i])
-        n = np.round(lam_re[i] / lam_re[candidates])
+    defect, size = np.abs(t * t - 4.0), np.abs(t)
+    for i in _ascending(defect):
+        lam_i = np.arccosh(t[i] / 2.0)
+        re_i = abs(lam_i.real)
+        reach = re_i / 2.0 + tol.LENGTH_SLACK
+        lam = np.arccosh(t[size <= _reach_size(reach)] / 2.0)
+        lam_re = np.abs(lam.real)
+        candidates = lam_re <= reach
+        n = np.round(re_i / lam_re[candidates])
         slack = tol.CLASS_EPS * np.maximum(n, 1.0)
-        re_ok = np.abs(lam_re[i] - n * lam_re[candidates]) <= slack
-        im_diff = lam_im[i] - n * lam_im[candidates]
+        re_ok = np.abs(re_i - n * lam_re[candidates]) <= slack
+        im_diff = lam_i.imag - n * lam.imag[candidates]
         im_ok = np.abs(im_diff - np.pi * np.round(im_diff / np.pi)) <= slack
         if not ((n >= 2) & re_ok & im_ok).any():
             return float(defect[i])
@@ -446,18 +473,22 @@ def first_violation(gens: GeneratorSet, max_len: int,
                     threshold: float = 1.0 - tol.J_EPS):
     """Cheapest violation in the smallest ball of radius 2..max_len that has one.
 
-    One ball is built to max_len and its radii 2, 3, ... are swept in turn
-    by the folded pair pass; a radius holds the inverse of each element it
-    holds, so each pairs one element of each {X, X^-1}. The first
-    non-elementary pair with J below threshold, in ascending J, is returned
-    as (J, x, y), else None.
+    The ball grows one radius at a time, and each radius from 2 on is swept
+    by the folded pair pass as soon as it is built, so a violation at
+    radius r stops the growth there: the levels past r are never built. A
+    radius holds the inverse of each element it holds, so each pairs one
+    element of each {X, X^-1}. The first non-elementary pair with J below
+    threshold, in ascending J, is returned as (J, x, y), else None.
     """
     import numpy as np
     if max_len < 2:
         raise ValueError(f"max_len {max_len} below 2: the smallest radius swept is 2")
-    levels = ball_levels(gens, max_len)
-    for radius in range(2, max_len + 1):
-        mats = np.concatenate(levels[1:radius + 1])
+    levels = []
+    for radius, level in enumerate(_grow_ball(gens, max_len)):
+        levels.append(level)
+        if radius < 2:
+            continue
+        mats = np.concatenate(levels[1:])
         _, jv, x, y = _pair_pass(mats, threshold, count=False)
         if len(jv):
             return float(jv[0]), _mat_of(mats[x[0]]), _mat_of(mats[y[0]])

@@ -2,8 +2,10 @@
 
 import math
 
+import numpy as np
 import pytest
 
+from jnum import tolerances as tol
 from jnum import words
 from jnum.intpoly import IntPoly
 from jnum.linalg import Mat2, classify
@@ -383,16 +385,64 @@ def test_first_violation_refuses_a_radius_below_two():
         first_violation(gens, 1)
 
 
-def test_screen_builds_one_ball_per_root(monkeypatch):
-    # 7/3 screens one root; its radii 2..6 are all read from one ball
-    calls = []
-    ball_levels = words.ball_levels
+def _counted_growth(monkeypatch):
+    """The radius each screen ball grows to, one entry per growth."""
+    grown = []
+    grow = words._grow_ball
 
     def counted(gens, max_len):
-        calls.append(max_len)
-        return ball_levels(gens, max_len)
+        grown.append(0)
+        for radius, level in enumerate(grow(gens, max_len)):
+            grown[-1] = radius
+            yield level
 
-    monkeypatch.setattr(words, "ball_levels", counted)
+    monkeypatch.setattr(words, "_grow_ball", counted)
+    return grown
+
+
+def test_the_screen_grows_each_root_to_the_radius_where_it_stops(monkeypatch):
+    # one growth per screened root, which stops at the radius that rejects
+    # the root: a survivor grows all SCREEN_LEN levels
+    grown = _counted_growth(monkeypatch)
     ch = select_geometric_root(TwoBridge(7, 3))
-    assert ch.statuses.count("survivor") == 1
-    assert calls == [SCREEN_LEN]
+    assert ch.statuses == ("real", "conjugate", "survivor")
+    assert grown == [SCREEN_LEN] == [6]
+    grown.clear()
+    ch = select_geometric_root(TwoBridge(13, 7))  # roots 3 and 5 fail at radii 5 and 2
+    assert ch.statuses.count("survivor") == 1 and len(ch.rejected) == 2
+    assert grown == [6, 5, 2]
+    grown.clear()
+    gens = GeneratorSet(("A", "B"), (RILEY_A, riley_b(0.1)))
+    assert first_violation(gens, SCREEN_LEN, 1.0 - tol.SCREEN_SLACK) is not None
+    assert grown == [2]
+
+
+def eager_first_violation(gens, max_len, threshold):
+    """The screen as one ball built whole to max_len first, then its radii
+    2, 3, ... paired in turn by the folded pair pass."""
+    levels = words.ball_levels(gens, max_len)
+    for radius in range(2, max_len + 1):
+        mats = np.concatenate(levels[1:radius + 1])
+        _, jv, x, y = words._pair_pass(mats, threshold, count=False)
+        if len(jv):
+            return float(jv[0]), mats[x[0]], mats[y[0]]
+    return None
+
+
+SCREENED = [z for p, q in ((13, 5), (13, 7), (7, 3), (12, 5))
+            for z in solve_roots(knot_poly(p, q) if p % 2 else link_poly(p, q).normalized).roots
+            if z.imag > tol.CX_EPS] + [0.1]
+
+
+@pytest.mark.parametrize("z", SCREENED, ids=lambda z: f"{z:.4f}")
+def test_the_lazy_screen_matches_an_eager_one_bit_for_bit(z):
+    gens = GeneratorSet(("A", "B"), (RILEY_A, riley_b(z)))
+    threshold = 1.0 - tol.SCREEN_SLACK
+    lazy = first_violation(gens, SCREEN_LEN, threshold)
+    eager = eager_first_violation(gens, SCREEN_LEN, threshold)
+    assert (lazy is None) is (eager is None)
+    if lazy is not None:
+        j, x, y = lazy
+        assert j == eager[0]
+        assert x.entries() == tuple(complex(e) for e in eager[1].ravel())
+        assert y.entries() == tuple(complex(e) for e in eager[2].ravel())

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import tracemalloc
@@ -13,7 +14,7 @@ from jnum import tolerances as tol
 from jnum import words
 from jnum.catalog import BIANCHI_DS, bianchi_generators, knot_table
 from jnum.linalg import Mat2, commutator, is_nonelementary, jorgensen_pair, proj_dist
-from jnum.riley import RILEY_A, riley_b
+from jnum.riley import RILEY_A, knot_jreport, riley_b
 from jnum.words import (GeneratorSet, Word, ball_levels, evaluate,
                         first_violation, inequality_sweep, min_c_entry,
                         min_loxodromic_defect)
@@ -192,6 +193,105 @@ def test_necklace_defect_matches_the_ball(label):
     for max_len in range(2, 10):
         assert abs(min_loxodromic_defect(gens, max_len)
                    - _ball_defect(gens, max_len)) <= 1e-9, max_len
+
+
+def sorted_class_min_defect(traces):
+    """The primitive-defect search as a sort: the sign-canonical traces in
+    complex order, one representative per run of differences <= CLASS_EPS,
+    and the representatives walked in ascending defect with the power test
+    of _primitive_min_defect."""
+    t = np.sort(_sign_canonical(traces), kind="stable")
+    reps = t[np.concatenate(([True], np.abs(np.diff(t)) > tol.CLASS_EPS))]
+    lam = np.arccosh(reps / 2.0)
+    lam_re, lam_im = np.abs(lam.real), lam.imag
+    defect = np.abs(reps * reps - 4.0)
+    for i in np.argsort(defect):
+        candidates = lam_re <= lam_re[i] / 2.0 + tol.LENGTH_SLACK
+        candidates[i] = False
+        n = np.round(lam_re[i] / lam_re[candidates])
+        slack = tol.CLASS_EPS * np.maximum(n, 1.0)
+        re_ok = np.abs(lam_re[i] - n * lam_re[candidates]) <= slack
+        im_diff = lam_im[i] - n * lam_im[candidates]
+        im_ok = np.abs(im_diff - np.pi * np.round(im_diff / np.pi)) <= slack
+        if not ((n >= 2) & re_ok & im_ok).any():
+            return float(defect[i])
+    raise AssertionError("every class resolved as a power")
+
+
+@functools.lru_cache(maxsize=None)
+def _solved_table_group(label):
+    row = next(r for r in knot_table() if r.label == label)
+    return GeneratorSet(("A", "B"), (RILEY_A, riley_b(knot_jreport(row.p, row.q).z)))
+
+
+_RNG = np.random.default_rng(2009)
+RANDOM_RILEY_Z = [complex(_RNG.uniform(-3.0, 3.0), _RNG.uniform(0.2, 3.0)) for _ in range(20)]
+
+
+def _loxodromic_necklace_traces(gens, max_len):
+    traces = words._necklace_traces(gens, max_len)
+    return traces[words._loxodromic_mask(traces)]
+
+
+def _defect_cases():
+    """(name, loxodromic traces) of the table knots at their solved roots,
+    lengths 2..12, and of seeded random Riley groups, lengths 4..10."""
+    for label in TABLE_KNOTS:
+        for max_len in range(2, 13):
+            yield f"{label}/{max_len}", _loxodromic_necklace_traces(
+                _solved_table_group(label), max_len)
+    for z in RANDOM_RILEY_Z:
+        gens = GeneratorSet(("A", "B"), (RILEY_A, riley_b(z)))
+        for max_len in range(4, 11):
+            yield f"{z:.3f}/{max_len}", _loxodromic_necklace_traces(gens, max_len)
+
+
+@pytest.mark.parametrize("head", [1, words._DEFECT_HEAD])
+def test_the_defect_walk_matches_the_sorted_class_search(head, monkeypatch):
+    # the walk returns the least defect of its class, the sort the defect
+    # of the class's first trace in complex order: they agree to rounding.
+    # With a head of one trace every walk that visits more reads the sort.
+    monkeypatch.setattr(words, "_DEFECT_HEAD", head)
+    for name, lox in _defect_cases():
+        got, want = words._primitive_min_defect(lox), sorted_class_min_defect(lox)
+        assert math.isclose(got, want, rel_tol=1e-12), name
+
+
+def test_the_ascending_walk_reads_the_sort_only_past_its_head(monkeypatch):
+    values = np.array([5.0, 1.0, 4.0, 1.0, 3.0, 0.5])
+    monkeypatch.setattr(words, "_DEFECT_HEAD", 3)
+    walk = words._ascending(values)
+    head = [next(walk) for _ in range(3)]
+    assert values[head].tolist() == [0.5, 1.0, 1.0]
+    assert list(walk) == np.argsort(values).tolist()
+    monkeypatch.setattr(words, "_DEFECT_HEAD", 64)
+    assert values[list(words._ascending(values))[:6]].tolist() == sorted(values)
+
+
+def test_the_size_prefilter_keeps_every_trace_within_reach():
+    # re lam <= reach implies |t| <= _reach_size(reach), as the bound is
+    # monotone, exactly when |t| <= _reach_size(re lam) for every trace t
+    for name, lox in _defect_cases():
+        lam_re = np.abs(np.arccosh(lox / 2.0).real)
+        assert np.all(np.abs(lox) <= words._reach_size(lam_re)), name
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.floats(-8.0, 8.0), st.floats(-8.0, 8.0))
+def test_the_size_prefilter_bound_holds_across_magnitudes(log_re, log_im):
+    # traces near +-2, near the real axis, and of large modulus
+    for t in (complex(math.copysign(math.exp(abs(log_re)), log_re), math.exp(log_im)),
+              2.0 + complex(math.exp(log_re), math.exp(log_im))):
+        lam_re = abs(np.arccosh(np.complex128(t) / 2.0).real)
+        assert abs(t) <= words._reach_size(lam_re)
+
+
+def test_the_size_prefilter_drops_most_traces():
+    lox = _loxodromic_necklace_traces(_solved_table_group("5_2"), 12)
+    first = np.argmin(np.abs(lox * lox - 4.0))
+    reach = abs(np.arccosh(lox[first] / 2.0).real) / 2.0 + tol.LENGTH_SLACK
+    kept = np.count_nonzero(np.abs(lox) <= words._reach_size(reach))
+    assert 0 < kept < len(lox) // 100
 
 
 def _sign_canonical(traces):
