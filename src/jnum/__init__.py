@@ -38,7 +38,6 @@ from .catalog import (
     gtk_generators,
     knot_table,
     losid_identity_suite,
-    unit_j_pairs,
     verify_relations,
 )
 from .intpoly import IntPoly
@@ -46,11 +45,7 @@ from .linalg import (
     IDENT,
     JReport,
     Mat2,
-    MobiusClass,
-    classify,
-    commutator,
     commutator_dev,
-    cx_eq,
     is_nonelementary,
     jorgensen_pair,
     proj_dist,
@@ -70,7 +65,6 @@ from .riley import (
     riley_b,
     select_geometric_root,
     solve_roots,
-    subset_oracle_poly,
     word_matrix,
 )
 from .words import (
@@ -91,8 +85,8 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # linalg
-    "IDENT", "JReport", "Mat2", "MobiusClass", "classify", "commutator",
-    "commutator_dev", "cx_eq", "is_nonelementary", "jorgensen_pair", "proj_dist",
+    "IDENT", "JReport", "Mat2", "commutator_dev", "is_nonelementary",
+    "jorgensen_pair", "proj_dist",
     # integer polynomials
     "IntPoly",
     # words and sweeps
@@ -103,7 +97,7 @@ __all__ = [
     "RILEY_A", "BridgeReport", "GeometricRootError", "LinkPoly",
     "RootChoice", "RootSet", "TwoBridge", "knot_jreport", "knot_poly",
     "link_jreport", "link_poly", "riley_b", "select_geometric_root",
-    "solve_roots", "subset_oracle_poly", "word_matrix",
+    "solve_roots", "word_matrix",
     # arithmetic invariants
     "ELLIPTIC_ORDERS", "ConditionReport", "EllipticCandidate",
     "QuadImagField", "elliptic_j_value", "elliptic_type_check",
@@ -115,5 +109,5 @@ __all__ = [
     "arithcomp_table", "bianchi_alpha", "bianchi_generators",
     "bianchi_relations", "family_match", "geodesic_defect_bound",
     "gtk_families", "gtk_generators", "knot_table",
-    "losid_identity_suite", "unit_j_pairs", "verify_relations",
+    "losid_identity_suite", "verify_relations",
 ]

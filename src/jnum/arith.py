@@ -10,6 +10,10 @@ conditions for a pair (A, B) with A parabolic and B elliptic of order n
 to generate an arithmetic group attaining Jorgensen number 1; the inputs
 it cannot derive from floats (algebraic integrality, Galois conjugates)
 are supplied by the caller and tracked as pass / fail / unchecked.
+Its orders (ELLIPTIC_ORDERS, the paper's list) are the n in 7..41 that pass
+its tau-free sign test of condition 5; no n >= 42 does: b1 < 0 iff k > n/6,
+so every prime up to x = n/6 must divide n, but for x >= 7 their product
+exceeds 6x = n (210 for x < 14; then induct with Bertrand's postulate).
 """
 
 from __future__ import annotations
@@ -20,8 +24,6 @@ from typing import Optional
 
 from . import tolerances as tol
 from .linalg import Mat2, commutator_dev
-
-ELLIPTIC_ORDERS = (7, 8, 9, 10, 11, 12, 14, 16, 18, 24, 30)
 
 
 def _squarefree_part(n: int) -> int:
@@ -105,12 +107,28 @@ def invariant_trace_field_generators(x: Mat2, y: Mat2) -> list:
 
 
 def recognize_invariant_field(x: Mat2, y: Mat2) -> Optional[QuadImagField]:
-    """First imaginary quadratic field recognized among the invariant generators."""
+    """The one imaginary quadratic field holding every invariant generator, or None:
+    non-real ones are recognized in it, and each real g is a rational integer."""
+    fields = set()
     for g in invariant_trace_field_generators(x, y):
-        f = recognize_quad_imaginary(g)
-        if f is not None:
-            return f
-    return None
+        if abs(g.imag) > tol.CX_EPS:
+            fields.add(recognize_quad_imaginary(g))
+        elif abs(g - round(g.real)) > tol.RECOGNIZE_EPS * (1.0 + abs(g) ** 2):
+            return None  # g is no integer to within RECOGNIZE_EPS (1 + |g|^2)
+    return fields.pop() if len(fields) == 1 else None
+
+
+def _conjugate_labels(n: int) -> tuple:
+    return tuple(k for k in range(2, n // 2 + 1) if math.gcd(k, n) == 1)
+
+
+def _places_ramify(n: int) -> bool:
+    """Condition 5's tau-free test: b1 = 2 cos(2 pi k / n) - 1 < 0 at every place k."""
+    return all(2.0 * math.cos(2.0 * math.pi * k / n) - 1.0 < 0.0
+               for k in _conjugate_labels(n))
+
+
+ELLIPTIC_ORDERS = tuple(n for n in range(7, 42) if _places_ramify(n))  # complete, see top
 
 
 @dataclass(frozen=True)
@@ -145,8 +163,7 @@ class EllipticCandidate:
 
     def embedding_labels(self) -> tuple:
         """All conjugate-place labels k, available with or without conjugates."""
-        return tuple(k for k in range(2, self.n // 2 + 1)
-                     if math.gcd(k, self.n) == 1)
+        return _conjugate_labels(self.n)
 
 
 PASS, FAIL, UNCHECKED = "pass", "fail", "unchecked"
@@ -167,7 +184,7 @@ class ConditionReport:
 def elliptic_type_check(cand: EllipticCandidate) -> ConditionReport:
     """Screen a parabolic-elliptic pair for the arithmetic J = 1 conditions.
 
-    1. the elliptic order n lies in the finite admissible list;
+    1. n is in ELLIPTIC_ORDERS: n >= 7 and the tau-free test of condition 5;
     2. tr^2 B exceeds 2 / (1 - cos(2 pi / n));
     3. tr(AB) is an algebraic integer  (supplied flag);
     4. every Galois conjugate tau of tr^2 B satisfies
@@ -186,21 +203,20 @@ def elliptic_type_check(cand: EllipticCandidate) -> ConditionReport:
     statuses[1] = PASS if cand.tr2B > bound else FAIL
     statuses[2] = PASS if cand.trAB_integral else FAIL
 
+    bad5 = not _places_ramify(cand.n)  # b1, the tau-free part of condition 5
     places = cand.conjugate_places()
     if places:
-        bad4 = bad5 = False
+        bad4 = False
         for k, tau in places:
             ck = math.cos(2.0 * math.pi * k / cand.n)
             if not (-1.0 < ck < 0.5 and 0.0 < tau < 2.0 / (1.0 - ck)):
                 bad4 = True
-            b1 = 2.0 * ck - 1.0
             b2 = 2.0 * (math.cos(4.0 * math.pi * k / cand.n) + ck) * tau
-            if not (b1 < 0.0 and b2 < 0.0):
+            if not b2 < 0.0:
                 bad5 = True
         statuses[3] = FAIL if bad4 else PASS
         statuses[4] = FAIL if bad5 else PASS
-    elif any(2.0 * math.cos(2.0 * math.pi * k / cand.n) - 1.0 >= 0.0
-             for k in cand.embedding_labels()):
+    elif bad5:
         statuses[4] = FAIL
 
     statuses[5] = PASS if cand.trB_integral else FAIL

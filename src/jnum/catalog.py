@@ -264,15 +264,6 @@ def family_match(params: GtkParams) -> Optional[FamilyMatch]:
     return None
 
 
-def unit_j_pairs() -> tuple:
-    """Every cataloged pair attaining J = 1: the twelve families plus the
-    arithcomp entries with expected J equal to 1, as (label, GeneratorSet)."""
-    pairs = [(row.label, row.generators()) for row in gtk_families()]
-    pairs.extend((e.label, e.generators) for e in arithcomp_table()
-                 if abs(e.expected_j - 1.0) <= tol.ROUND_EPS)
-    return tuple(pairs)
-
-
 # ---------------------------------------------------------------------------
 # identity suite
 

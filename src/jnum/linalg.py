@@ -1,4 +1,4 @@
-"""SL2(C) matrices, Mobius classification, and the Jorgensen functional.
+"""SL2(C) matrices and the Jorgensen functional.
 
 Matrices are stored as SL2 lifts (determinant 1 within DET_EPS, relative
 to the size of its terms a d and b c); group elements of PSL2(C) are
@@ -14,16 +14,9 @@ so J and the elementarity test form no product matrix.
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass
-from typing import Optional
 
 from . import tolerances as tol
-
-
-def cx_eq(a: complex, b: complex) -> bool:
-    """Tolerance-based scalar equality."""
-    return abs(a - b) <= tol.CX_EPS
 
 
 @dataclass(frozen=True)
@@ -94,52 +87,12 @@ def proj_dist(x: Mat2, y: Mat2) -> float:
 
 
 @dataclass(frozen=True)
-class MobiusClass:
-    """Classification of a Mobius transformation by its trace."""
-
-    kind: str  # identity | parabolic | elliptic | hyperbolic | loxodromic
-    trace: complex
-    rotation_order: Optional[int] = None
-
-
-@dataclass(frozen=True)
 class JReport:
     """J(X, Y) together with the data it was computed from."""
 
     value: float
     pair: tuple[Mat2, Mat2]
     commutator_trace: complex
-
-
-def _rotation_order(t_abs: float) -> Optional[int]:
-    # elliptic order m when |Re tr| = 2 cos(pi/m); search small orders first
-    for m in range(2, tol.ORDER_CAP + 1):
-        if abs(t_abs - 2.0 * math.cos(math.pi / m)) <= tol.CX_EPS:
-            return m
-    return None
-
-
-def classify(m: Mat2) -> MobiusClass:
-    """Classify by trace: identity, parabolic, elliptic, hyperbolic, loxodromic.
-
-    Loxodromic here means strictly loxodromic (non-real trace); callers
-    needing the broad sense ("loxodromic or hyperbolic") union the kinds.
-    """
-    t = complex(m.trace)
-    if m.is_identity_proj():
-        return MobiusClass("identity", t)
-    if cx_eq(t, 2.0) or cx_eq(t, -2.0):
-        return MobiusClass("parabolic", t)
-    if abs(t.imag) <= tol.CX_EPS:
-        r = abs(t.real)
-        if r < 2.0:
-            return MobiusClass("elliptic", t, _rotation_order(r))
-        return MobiusClass("hyperbolic", t)
-    return MobiusClass("loxodromic", t)
-
-
-def commutator(x: Mat2, y: Mat2) -> Mat2:
-    return x @ y @ x.inv() @ y.inv()
 
 
 def commutator_dev(x: Mat2, y: Mat2) -> complex:

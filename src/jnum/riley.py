@@ -17,9 +17,9 @@ lower row of W is polynomial in z with integer coefficients:
 
 where f counts signed alternating index subsets and satisfies the
 recurrence f(i, t) = f(i-1, t) + [i = t mod 2] e_i f(i-1, t-1). The knot
-polynomial is W_22, the raw link polynomial W_21. A brute-force subset
-expansion (subset_oracle_poly) and W's entries built letter by letter as
-column updates (word_matrix) are reference oracles for the dynamic program.
+polynomial is W_22, the raw link polynomial W_21. W's entries built letter
+by letter as column updates (word_matrix) are a reference oracle for the
+dynamic program, and tests/oracles.py holds a brute-force subset expansion.
 
 At a geometric root the Jorgensen number of the representation is |z|
 for knots (witnessed by the pair (A, W)) and |z|^2 for links (witnessed
@@ -41,7 +41,6 @@ which carries the RootChoice.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -144,27 +143,6 @@ def link_poly(p: int, q: int) -> LinkPoly:
     if norm.coeffs[-1] < 0:
         norm = -norm
     return LinkPoly(raw, norm)
-
-
-def subset_oracle_poly(p: int, q: int) -> IntPoly:
-    """Brute-force subset expansion of the representation polynomial (p <= 13).
-
-    Sums the product of the exponents e_i over every index subset of
-    {1..p-1} whose k-th element has the parity of k, adding it to the
-    coefficient of z^((size + 1) // 2). Only sizes of the fraction's parity
-    count: even sizes give the knot polynomial for odd p, odd sizes the raw
-    link polynomial for even p.
-    """
-    tb = normalize(p, q)
-    if p > 13:
-        raise ValueError("subset oracle is limited to p <= 13")
-    exps = tb.exponents()
-    coeffs = [0] * p
-    for size in range(1 - p % 2, p, 2):
-        for subset in itertools.combinations(range(1, p), size):
-            if all(i % 2 == k % 2 for k, i in enumerate(subset, start=1)):
-                coeffs[(size + 1) // 2] += math.prod(exps[i - 1] for i in subset)
-    return IntPoly.from_list(coeffs)
 
 
 def word_matrix(p: int, q: int) -> tuple:

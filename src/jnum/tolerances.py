@@ -14,7 +14,6 @@ MAT_EPS = 1e-9   # projective matrix equality min(|M-N|, |M+N|)_inf <= MAT_EPS
 DET_EPS = 1e-9   # determinant drift from 1, relative to max(1, |a d|, |b c|)
 J_EPS = 1e-9     # slack in the inequality J >= 1 - J_EPS
 
-ORDER_CAP = 256  # elliptic rotation-order search bound
 QUANT = 1e-6     # quantization grid for projective dedup in word sweeps
 
 ROUND_EPS = 1e-12      # an identity exact in real arithmetic, on unit-size doubles

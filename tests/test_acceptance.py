@@ -26,10 +26,9 @@ from jnum.catalog import (
     gtk_generators,
     knot_table,
     losid_identity_suite,
-    unit_j_pairs,
     verify_relations,
 )
-from jnum.linalg import classify, commutator, jorgensen_pair
+from jnum.linalg import jorgensen_pair
 from jnum.riley import (
     RILEY_A,
     knot_jreport,
@@ -37,9 +36,9 @@ from jnum.riley import (
     link_jreport,
     link_poly,
     riley_b,
-    subset_oracle_poly,
 )
 from jnum.words import GeneratorSet, inequality_sweep, min_loxodromic_defect
+from oracles import classify, commutator, subset_oracle_poly, unit_j_pairs
 
 OMEGA = 0.5 + 0.8660254037844386j
 

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from jnum import arith
 from jnum.arith import (
     ELLIPTIC_ORDERS,
     EllipticCandidate,
@@ -14,6 +15,7 @@ from jnum.arith import (
     recognize_invariant_field,
     recognize_quad_imaginary,
 )
+from jnum.catalog import GtkParams, gtk_generators
 from jnum.linalg import Mat2
 
 OMEGA = 0.5 + 0.8660254037844386j
@@ -70,12 +72,33 @@ def test_recognize_invariant_field_figure_eight():
     assert recognize_invariant_field(x, y) == QuadImagField(3)
 
 
+def test_recognize_invariant_field_needs_every_generator():
+    # G(pi/3, 1/2): tr^2 B lies in Q(sqrt(-3)), but tr A tr B tr AB =
+    # (sqrt 3 - 1) + (sqrt 3 + 1) i lies in no imaginary quadratic field
+    a, b = gtk_generators(GtkParams(1, 3, 0.5)).mats
+    gens = invariant_trace_field_generators(a, b)
+    assert recognize_quad_imaginary(gens[1]) == QuadImagField(3)
+    assert recognize_quad_imaginary(gens[2]) is None
+    assert recognize_invariant_field(a, b) is None
+    # G(pi/2, (1 + sqrt 5)/4): the real generator -(3 + sqrt 5)/2 is no integer
+    a, b = gtk_generators(GtkParams(1, 2, (1.0 + math.sqrt(5.0)) / 4.0)).mats
+    assert abs(invariant_trace_field_generators(a, b)[1] + 2.618033988749895) < 1e-12
+    assert recognize_invariant_field(a, b) is None
+
+
 # ---------------------------------------------------------------------------
 # the elliptic screen
 
 
 def test_admissible_orders():
     assert ELLIPTIC_ORDERS == (7, 8, 9, 10, 11, 12, 14, 16, 18, 24, 30)
+
+
+def test_admissible_orders_stop_at_41():
+    # the module docstring proves that no n >= 42 passes the sign test
+    assert [n for n in range(42, 400) if arith._places_ramify(n)] == []
+    # n = 6 passes it and fails condition 1 only because n < 7
+    assert arith._places_ramify(6)
 
 
 def test_candidate_conjugate_count_validation():

@@ -22,11 +22,11 @@ from jnum.catalog import (
     gtk_generators,
     knot_table,
     losid_identity_suite,
-    unit_j_pairs,
     verify_relations,
 )
 from jnum.linalg import jorgensen_pair, proj_dist
 from jnum.words import Word
+from oracles import unit_j_pairs
 
 RT3 = math.sqrt(3.0)
 

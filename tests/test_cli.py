@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jnum import catalog
 from jnum import tolerances as tol
 from jnum.cli import main
 
@@ -259,6 +260,14 @@ def test_gtk_nonarithmetic_family(capsys):
     assert rep["identification"] is None
 
 
+def test_gtk_field_holds_every_generator(capsys):
+    # tr^2 B lies in Q(sqrt(-3)), but tr A tr B tr AB does not
+    code, env = run_json(capsys, ["gtk", "1/3", "0.5"])
+    assert code == 0
+    rep = record(env, "report")
+    assert rep["field_d"] is None and rep["field"] is None
+
+
 def test_gtk_unlisted(capsys):
     code, env = run_json(capsys, ["gtk", "1/5", "0.9"])
     assert code == 0
@@ -315,6 +324,55 @@ def test_verify_suite_ok(capsys, suite):
     code, env = run_json(capsys, ["verify", suite])
     assert code == 0 and env["status"] == "ok"
     assert env["results"], suite
+
+
+@pytest.fixture
+def mutate_fixture(monkeypatch):
+    """mutate(name, edit) makes catalog load the fixture name through edit;
+    the cached tables are cleared before and after the test."""
+    tables = (catalog.gtk_families, catalog.knot_table)
+    for table in tables:
+        table.cache_clear()
+    load = catalog._load_json
+
+    def mutate(name, edit):
+        def patched(requested):
+            data = load(requested)
+            if requested == name:
+                edit(data)
+            return data
+        monkeypatch.setattr(catalog, "_load_json", patched)
+
+    yield mutate
+    for table in tables:
+        table.cache_clear()
+
+
+def _failed_labels(env):
+    return [r["label"] for r in env["results"] if r.get("ok") is False]
+
+
+def test_verify_gtk_families_fails_on_a_wrong_field(capsys, mutate_fixture):
+    rows = json.loads((resources.files("jnum") / "data" / "gtk_families.json").read_text())
+    assert rows[0]["field_d"] == 3
+
+    def edit(data):
+        data[0]["field_d"] = 1
+
+    mutate_fixture("gtk_families.json", edit)
+    code, env = run_json(capsys, ["verify", "gtk-families"])
+    assert code == 1 and env["status"] == "violation"
+    assert _failed_labels(env) == [rows[0]["label"]]
+
+
+def test_verify_knot_table_fails_on_a_wrong_alpha(capsys, mutate_fixture):
+    def edit(data):
+        data["rows"][1]["alpha"] += 0.01
+
+    mutate_fixture("knot_table.json", edit)
+    code, env = run_json(capsys, ["verify", "knot-table"])
+    assert code == 1 and env["status"] == "violation"
+    assert _failed_labels(env) == ["6_1"]
 
 
 # ---------------------------------------------------------------------------

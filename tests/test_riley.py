@@ -8,7 +8,7 @@ import pytest
 from jnum import tolerances as tol
 from jnum import words
 from jnum.intpoly import IntPoly
-from jnum.linalg import Mat2, classify
+from jnum.linalg import Mat2
 from jnum.riley import (
     RILEY_A,
     SCREEN_LEN,
@@ -22,10 +22,10 @@ from jnum.riley import (
     riley_b,
     select_geometric_root,
     solve_roots,
-    subset_oracle_poly,
     word_matrix,
 )
 from jnum.words import GeneratorSet, SearchError, first_violation, inequality_sweep
+from oracles import classify, subset_oracle_poly
 
 OMEGA = 0.5 + 0.8660254037844386j  # primitive sixth root of unity
 

@@ -13,11 +13,12 @@ from hypothesis import strategies as st
 from jnum import tolerances as tol
 from jnum import words
 from jnum.catalog import BIANCHI_DS, bianchi_generators, knot_table
-from jnum.linalg import Mat2, commutator, is_nonelementary, jorgensen_pair, proj_dist
+from jnum.linalg import Mat2, is_nonelementary, jorgensen_pair, proj_dist
 from jnum.riley import RILEY_A, knot_jreport, riley_b
 from jnum.words import (GeneratorSet, Word, ball_levels, evaluate,
                         first_violation, inequality_sweep, min_c_entry,
                         min_loxodromic_defect)
+from oracles import commutator
 
 Z8 = 0.5 + 0.8660254037844386j  # the root of 1 - z + z^2 in the upper half plane
 FIG8 = GeneratorSet(("A", "B"), (RILEY_A, riley_b(Z8)))
