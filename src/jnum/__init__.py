@@ -27,7 +27,6 @@ from .catalog import (
     GtkParams,
     IdentityCheck,
     KnotTableRow,
-    RelationReport,
     arithcomp_table,
     bianchi_alpha,
     bianchi_generators,
@@ -105,9 +104,9 @@ __all__ = [
     "recognize_quad_imaginary",
     # catalog
     "BIANCHI_DS", "CatalogEntry", "FamilyMatch", "GtkFamilyRow",
-    "GtkParams", "IdentityCheck", "KnotTableRow", "RelationReport",
-    "arithcomp_table", "bianchi_alpha", "bianchi_generators",
-    "bianchi_relations", "family_match", "geodesic_defect_bound",
-    "gtk_families", "gtk_generators", "knot_table",
-    "losid_identity_suite", "verify_relations",
+    "GtkParams", "IdentityCheck", "KnotTableRow", "arithcomp_table",
+    "bianchi_alpha", "bianchi_generators", "bianchi_relations",
+    "family_match", "geodesic_defect_bound", "gtk_families",
+    "gtk_generators", "knot_table", "losid_identity_suite",
+    "verify_relations",
 ]

@@ -136,10 +136,9 @@ class EllipticCandidate:
     """Input data for the elliptic-order screen.
 
     tr2B is tr^2 B (real for B elliptic); tr2B_conjugates are its Galois
-    conjugates at the other real places, one per place (phi(n)/2 - 1, in
-    the order of embedding_labels), or empty when unknown. The two flags
-    assert algebraic integrality of tr(AB) and tr(B), which cannot be
-    decided from floats.
+    conjugates at the other real places, one per place k in [2, n/2] prime
+    to n, in increasing k, or empty when unknown. The two flags assert
+    algebraic integrality of tr(AB) and tr(B), undecidable from floats.
     """
 
     n: int
@@ -151,19 +150,11 @@ class EllipticCandidate:
     def __post_init__(self):
         if self.n < 3:
             raise ValueError("elliptic order must be at least 3")
-        places = len(self.embedding_labels())
+        places = len(_conjugate_labels(self.n))
         if len(self.tr2B_conjugates) not in (0, places):
             raise ValueError(
                 f"need 0 or {places} conjugates for n = {self.n}, "
                 f"got {len(self.tr2B_conjugates)}")
-
-    def conjugate_places(self) -> tuple:
-        """(k, tau) pairs: the embedding label k in [2, n/2] and the conjugate."""
-        return tuple(zip(self.embedding_labels(), self.tr2B_conjugates))
-
-    def embedding_labels(self) -> tuple:
-        """All conjugate-place labels k, available with or without conjugates."""
-        return _conjugate_labels(self.n)
 
 
 PASS, FAIL, UNCHECKED = "pass", "fail", "unchecked"
@@ -204,7 +195,7 @@ def elliptic_type_check(cand: EllipticCandidate) -> ConditionReport:
     statuses[2] = PASS if cand.trAB_integral else FAIL
 
     bad5 = not _places_ramify(cand.n)  # b1, the tau-free part of condition 5
-    places = cand.conjugate_places()
+    places = tuple(zip(_conjugate_labels(cand.n), cand.tr2B_conjugates))
     if places:
         bad4 = False
         for k, tau in places:

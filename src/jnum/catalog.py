@@ -9,7 +9,8 @@ typed records and provides the generator constructions:
     for which tr [A, B] - 2 = -e^{2 i theta}, so J(A, B) = 1 identically;
   * bianchi_generators / bianchi_relations: A, S = [[0,-1],[1,0]],
     T = [[1, alpha],[0,1]] generating PSL2(O_d) for d in {1,2,3,7,11},
-    with a finite presentation in those generators;
+    with a finite presentation in those generators, whose projective
+    distances from I verify_relations returns as a tuple, unjudged;
   * losid_identity_suite: the matrix identities that locate each J = 1
     family inside its target group, case by case.
 """
@@ -108,23 +109,9 @@ def bianchi_relations(d: int) -> tuple:
     return tuple(Word.parse(text, names) for text in _BIANCHI_RELATORS[d])
 
 
-@dataclass(frozen=True)
-class RelationReport:
-    """Projective deviation of each relator from the identity."""
-
-    words: tuple
-    deviations: tuple
-    max_deviation: float
-
-    def ok(self, eps: float) -> bool:
-        return self.max_deviation <= eps
-
-
-def verify_relations(gens: GeneratorSet, relators) -> RelationReport:
-    """Evaluate each relator and measure its projective distance from I."""
-    words = tuple(relators)
-    devs = tuple(proj_dist(evaluate(gens, w), IDENT) for w in words)
-    return RelationReport(words, devs, max(devs) if devs else 0.0)
+def verify_relations(gens: GeneratorSet, relators) -> tuple:
+    """The projective distance from I of each relator, in the order given."""
+    return tuple(proj_dist(evaluate(gens, w), IDENT) for w in relators)
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +126,6 @@ class CatalogEntry:
     generators: GeneratorSet
     expected_j: float
     field_d: Optional[int]
-    provenance: str
 
     @property
     def c(self) -> complex:
@@ -155,7 +141,7 @@ def arithcomp_table() -> tuple:
         gens = GeneratorSet(("A", "B"),
                             (Mat2(1.0, 1.0, 0.0, 1.0), Mat2(1.0, 0.0, c, 1.0)))
         out.append(CatalogEntry(row["label"], gens, float(row["expected_j"]),
-                                row["field_d"], row["provenance"]))
+                                row["field_d"]))
     return tuple(out)
 
 
@@ -170,7 +156,6 @@ class KnotTableRow:
     z: complex
     jorgensen: float
     alpha: float
-    provenance: str
 
 
 @lru_cache(maxsize=1)
@@ -178,7 +163,7 @@ def knot_table() -> tuple:
     data = _load_json("knot_table.json")
     return tuple(
         KnotTableRow(r["label"], r["p"], r["q"], IntPoly.parse(r["minpoly"]),
-                     _cx(r["z"]), r["jorgensen"], r["alpha"], r["provenance"])
+                     _cx(r["z"]), r["jorgensen"], r["alpha"])
         for r in data["rows"])
 
 
@@ -199,7 +184,6 @@ class GtkFamilyRow:
     arithmetic: bool
     field_d: Optional[int]
     identification: Optional[str]
-    provenance: str
 
     def generators(self) -> GeneratorSet:
         return gtk_generators(self.params)
@@ -212,7 +196,7 @@ def gtk_families() -> tuple:
         params = GtkParams(row["theta"]["num"], row["theta"]["den"], row["k"])
         out.append(GtkFamilyRow(row["label"], params, row["k_exact"],
                                 row["arithmetic"], row["field_d"],
-                                row["identification"], row["provenance"]))
+                                row["identification"]))
     return tuple(out)
 
 
@@ -278,9 +262,6 @@ class IdentityCheck:
 
     label: str
     deviation: float
-
-    def ok(self, eps: float) -> bool:
-        return self.deviation <= eps
 
 
 def _eq(label: str, lhs: Mat2, rhs: Mat2) -> IdentityCheck:

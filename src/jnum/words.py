@@ -503,7 +503,6 @@ class SweepReport:
     n_pairs: int
     n_candidates: int
     violations: tuple  # non-elementary (J, x, y) below threshold, ascending J
-    threshold: float
 
 
 def inequality_sweep(gens: GeneratorSet, max_len: int,
@@ -516,4 +515,4 @@ def inequality_sweep(gens: GeneratorSet, max_len: int,
     elems = {i: _mat_of(mats[i]) for i in set(x.tolist()) | set(y.tolist())}
     violations = tuple((j, elems[a], elems[b])
                        for j, a, b in zip(jv.tolist(), x.tolist(), y.tolist()))
-    return SweepReport(len(mats), len(mats) ** 2, n_candidates, violations, threshold)
+    return SweepReport(len(mats), len(mats) ** 2, n_candidates, violations)

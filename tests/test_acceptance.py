@@ -116,15 +116,15 @@ def test_criterion_04_whitehead_j_two():
 def test_criterion_05_bianchi_relators():
     with criterion(5, "all Bianchi relators evaluate to +-I, d in {1,2,3,7,11}"):
         for d in BIANCHI_DS:
-            rep = verify_relations(bianchi_generators(d), bianchi_relations(d))
-            assert rep.ok(1e-9), (d, rep.max_deviation)
+            devs = verify_relations(bianchi_generators(d), bianchi_relations(d))
+            assert max(devs) <= 1e-9, (d, max(devs))
 
 
 def test_criterion_06_identity_suite():
     with criterion(6, "all cataloged word identities hold (cases 1-8)"):
         suite = losid_identity_suite()
         for check in suite:
-            assert check.ok(1e-9), (check.label, check.deviation)
+            assert check.deviation <= 1e-9, (check.label, check.deviation)
         labels = {c.label for c in suite}
         for needed in ("case 6: S T = B", "case 7: S T = B", "case 8: S T = B",
                        "case 1 (n=2): D A D^-1 = C",

@@ -1,5 +1,5 @@
-"""Every name jnum exports, and every private helper it defines, has a
-caller in the program itself."""
+"""Every name jnum exports, every private helper it defines and every
+public member of its classes has a reader in the program itself."""
 
 import ast
 from pathlib import Path
@@ -15,6 +15,15 @@ KEPT = {
     "min_c_entry": "the planned cusp scan of ROADMAP item 7 (|c| >= 1)",
     "is_nonelementary": "the pair oracle of tests/test_words.py; bench/tracer.py "
                         "binds it by name",
+}
+
+# public class members (methods, properties, dataclass fields) that no code
+# in src/jnum reads as an attribute, each with the reason it stays
+KEPT_MEMBERS = {
+    "rejected": "RootChoice.rejected: read by _root_choice in bench/tracer.py",
+    "pair": "BridgeReport.pair and JReport.pair: the knot report's (A, W) "
+            "witness, for ROADMAP item 5",
+    "k_exact": "GtkFamilyRow.k_exact: the exact k for ROADMAP item 17(b)",
 }
 
 
@@ -51,6 +60,38 @@ def _orphaned_helpers(paths):
     return {f"{file}:{name}" for file, name in defined if name not in read}
 
 
+def _public_members(path):
+    """(class, name) of every public method, property and annotated
+    (dataclass) field defined in a class body of path."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    members = set()
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for node in cls.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = node.name
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                name = node.target.id
+            else:
+                continue
+            if not name.startswith("_"):
+                members.add((cls.name, name))
+    return members
+
+
+def _unread_members(paths):
+    """Public members of the classes of paths whose name none of paths
+    reads as an attribute."""
+    members, read = set(), set()
+    for path in paths:
+        members |= _public_members(path)
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read |= {node.attr for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    return {(cls, name) for cls, name in members if name not in read}
+
+
 def test_every_export_has_a_program_caller():
     used = set()
     for path in sorted(SRC.glob("*.py")):
@@ -79,3 +120,23 @@ def test_the_helper_lint_finds_an_orphan(tmp_path):
                    "        pass\n\n\nclass _Orphan:\n    pass\n")
     assert _private_definitions(lib) == {"_K", "_L", "_used", "_Orphan"}
     assert _orphaned_helpers([user, lib]) == {"lib.py:_L", "lib.py:_Orphan"}
+
+
+def test_every_public_member_has_a_reader():
+    unread = _unread_members(sorted(SRC.glob("*.py")))
+    assert {name for _, name in unread} == set(KEPT_MEMBERS), sorted(unread)
+
+
+def test_the_member_lint_finds_an_unread_member(tmp_path):
+    lib = tmp_path / "lib.py"
+    lib.write_text("class Rec:\n    used: int\n    spare: int\n    _own: int\n"
+                   "    plain = 1\n\n    @property\n    def shown(self):\n"
+                   "        return self.used\n\n    def dropped(self):\n"
+                   "        pass\n\n    def __eq__(self, other):\n        pass\n")
+    user = tmp_path / "user.py"
+    user.write_text("def show(rec, dropped):\n    spare = dropped\n"
+                    "    return rec.shown, spare\n")
+    assert _public_members(lib) == {("Rec", "used"), ("Rec", "spare"),
+                                    ("Rec", "shown"), ("Rec", "dropped")}
+    # a bare name is no attribute read: spare and dropped stay unread
+    assert _unread_members([lib, user]) == {("Rec", "spare"), ("Rec", "dropped")}

@@ -115,9 +115,10 @@ def test_candidate_conjugate_count_validation():
 
 def test_candidate_places():
     half = EllipticCandidate(7, 6.0, (0.1, 0.2))
-    assert half.conjugate_places() == ((2, 0.1), (3, 0.2))
-    assert half.embedding_labels() == (2, 3)
-    assert EllipticCandidate(7, 6.0).conjugate_places() == ()
+    labels = arith._conjugate_labels(half.n)
+    assert tuple(zip(labels, half.tr2B_conjugates)) == ((2, 0.1), (3, 0.2))
+    assert labels == (2, 3)
+    assert EllipticCandidate(7, 6.0).tr2B_conjugates == ()
 
 
 def test_screen_passing_candidate():

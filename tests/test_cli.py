@@ -16,9 +16,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jnum import catalog
+from jnum import catalog, cli
 from jnum import tolerances as tol
+from jnum.arith import PASS, ConditionReport
 from jnum.cli import main
+from jnum.riley import RILEY_A, riley_b
+from jnum.words import GeneratorSet
 
 SCHEMA = json.loads(
     (resources.files("jnum") / "data" / "cli_schema.json").read_text())
@@ -330,7 +333,7 @@ def test_verify_suite_ok(capsys, suite):
 def mutate_fixture(monkeypatch):
     """mutate(name, edit) makes catalog load the fixture name through edit;
     the cached tables are cleared before and after the test."""
-    tables = (catalog.gtk_families, catalog.knot_table)
+    tables = (catalog.gtk_families, catalog.knot_table, catalog.arithcomp_table)
     for table in tables:
         table.cache_clear()
     load = catalog._load_json
@@ -373,6 +376,64 @@ def test_verify_knot_table_fails_on_a_wrong_alpha(capsys, mutate_fixture):
     code, env = run_json(capsys, ["verify", "knot-table"])
     assert code == 1 and env["status"] == "violation"
     assert _failed_labels(env) == ["6_1"]
+
+
+def test_verify_arithcomp_fails_on_a_wrong_expected_j(capsys, mutate_fixture):
+    label = "6^2_3 link group"
+
+    def edit(data):
+        row, = (r for r in data if r["label"] == label)
+        row["expected_j"] += 0.01
+
+    mutate_fixture("arithcomp.json", edit)
+    code, env = run_json(capsys, ["verify", "arithcomp"])
+    assert code == 1 and env["status"] == "violation"
+    assert _failed_labels(env) == [label]
+
+
+def test_verify_bianchi_fails_on_a_non_relator(capsys, monkeypatch):
+    monkeypatch.setitem(catalog._BIANCHI_RELATORS, 7,
+                        catalog._BIANCHI_RELATORS[7] + ("ATAT",))
+    code, env = run_json(capsys, ["verify", "bianchi"])
+    assert code == 1 and env["status"] == "violation"
+    failed = [(r["d"], r["word"]) for r in env["results"] if r["ok"] is False]
+    assert failed == [(7, "A T A T")]
+
+
+def test_verify_losid_fails_on_a_moved_k(capsys, monkeypatch):
+    build = catalog.gtk_generators
+    monkeypatch.setattr(catalog, "gtk_generators", lambda params: build(
+        catalog.GtkParams(params.theta_num, params.theta_den, params.k + 1e-3)))
+    code, env = run_json(capsys, ["verify", "losid"])
+    assert code == 1 and env["status"] == "violation"
+    assert len(_failed_labels(env)) == 17
+
+
+def test_verify_inequality_sweep_fails_on_a_non_discrete_group(capsys, monkeypatch):
+    build = cli.bianchi_generators
+    near = GeneratorSet(("A", "B"), (RILEY_A, riley_b(0.3 + 0.2j)))
+    monkeypatch.setattr(cli, "bianchi_generators",
+                        lambda d: near if d == 11 else build(d))
+    code, env = run_json(capsys, ["verify", "inequality-sweep", "--max-len", "3"])
+    assert code == 1 and env["status"] == "violation"
+    failed = [r["group"] for r in env["results"] if r["ok"] is False]
+    assert failed == ["Bianchi d = 11"]
+
+
+def test_verify_elliptic_orders_are_an_identity(capsys, monkeypatch):
+    # j_value = 1 at the inadmissible n = 6 as well, so no order fails
+    monkeypatch.setattr(cli, "ELLIPTIC_ORDERS", (6,) + cli.ELLIPTIC_ORDERS)
+    code, env = run_json(capsys, ["verify", "elliptic"])
+    assert code == 0 and record(env, "order")["n"] == 6
+
+
+def test_verify_elliptic_fails_when_the_screen_passes_everything(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "elliptic_type_check",
+                        lambda cand: ConditionReport((PASS,) * 6))
+    code, env = run_json(capsys, ["verify", "elliptic"])
+    assert code == 1 and env["status"] == "violation"
+    failed = [r["kind"] for r in env["results"] if r["ok"] is False]
+    assert failed == ["candidate", "candidate"]
 
 
 # ---------------------------------------------------------------------------

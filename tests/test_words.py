@@ -1,4 +1,5 @@
 import functools
+import inspect
 import itertools
 import math
 import tracemalloc
@@ -391,7 +392,8 @@ def test_inequality_sweep_fig8():
     assert rep.n_elements == 4 + 12 + 36
     assert rep.n_pairs == rep.n_elements ** 2
     assert rep.violations == ()
-    assert rep.threshold == 1.0 - 1e-9
+    default = inspect.signature(inequality_sweep).parameters["threshold"].default
+    assert default == 1.0 - 1e-9
 
 
 def oracle_sweep(gens, max_len, threshold):
