@@ -12,10 +12,9 @@ GeometricRootError carries it), so the polynomial is built and solved
 once per command.
 
 Exit status: 0 for ok, 1 for a violation or a pipeline failure, 2 for a
-usage error. The JNUM_TOL environment variable tightens or loosens the
-library tolerances; a --config file can override the comparison
-tolerance ("tol") and the default word-length caps ("max_len"), with
-command-line flags taking precedence.
+usage error. Every tolerance is a constant of jnum.tolerances, reported in
+the envelope; --max-len is the one setting, the word-length cap of the
+commands that build a word ball.
 """
 
 from __future__ import annotations
@@ -116,45 +115,15 @@ def _fraction_pair(text: str, what: str) -> tuple:
     raise UsageError(f"{what} must look like P/Q with integer parts, got {text!r}")
 
 
-def _load_config(path: Optional[str]) -> dict:
-    if path is None:
-        return {}
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            cfg = json.load(f)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise UsageError(f"config {path}: {exc}")
-    if not isinstance(cfg, dict):
-        raise UsageError("config must be a JSON object")
-    unknown = sorted(set(cfg) - {"tol", "max_len"})
-    if unknown:
-        raise UsageError(f"unknown config keys: {', '.join(unknown)}")
-    for key, value in cfg.items():
-        if isinstance(value, bool):  # JSON true/false load as a subclass of int
-            raise UsageError(f"config {key} must be a number, not {json.dumps(value)}")
-    if "tol" in cfg:
-        if not isinstance(cfg["tol"], (int, float)) or not 0 < cfg["tol"] < 1:
-            raise UsageError("config tol must be a number in (0, 1)")
-    if "max_len" in cfg:
-        if not isinstance(cfg["max_len"], int) or cfg["max_len"] < 1:
-            raise UsageError("config max_len must be a positive integer")
-        if cfg["max_len"] > MAX_BALL_LEN:
-            raise UsageError(f"config max_len must be at most {MAX_BALL_LEN}")
-    return cfg
-
-
-def _eps(cfg: dict, default: float) -> float:
-    return float(cfg.get("tol", default))
-
-
-def _cap(flag_value: Optional[int], cfg: dict, default: int) -> int:
-    if flag_value is not None:
-        if flag_value < 1:
-            raise UsageError("--max-len must be a positive integer")
-        if flag_value > MAX_BALL_LEN:
-            raise UsageError(f"--max-len must be at most {MAX_BALL_LEN}")
-        return flag_value
-    return int(cfg.get("max_len", default))
+def _cap(flag_value: Optional[int], default: int) -> int:
+    """The --max-len word-length cap, or default when the flag is absent."""
+    if flag_value is None:
+        return default
+    if flag_value < 1:
+        raise UsageError("--max-len must be a positive integer")
+    if flag_value > MAX_BALL_LEN:
+        raise UsageError(f"--max-len must be at most {MAX_BALL_LEN}")
+    return flag_value
 
 
 # ---------------------------------------------------------------------------
@@ -168,11 +137,11 @@ def _root_records(choice) -> list:
                 zip(choice.roots.roots, choice.statuses, choice.screen_j))]
 
 
-def _bridge_command(args, cfg: dict) -> dict:
+def _bridge_command(args) -> dict:
     command = args.command
     is_knot_cmd = command == "knot"
     p, q = _fraction_pair(args.fraction, "the two-bridge fraction")
-    sample_len = _cap(args.max_len, cfg, SCREEN_LEN)
+    sample_len = _cap(args.max_len, SCREEN_LEN)
     if sample_len < 2:
         raise UsageError(f"{command} screens roots at word lengths 2..max_len, "
                          f"so max_len must be at least 2, got {sample_len}")
@@ -235,10 +204,9 @@ def _relator_records(gens: GeneratorSet, d: int, eps: float, /, **tag) -> list:
             for w, dev in zip(relators, verify_relations(gens, relators))]
 
 
-def cmd_bianchi(args, cfg: dict) -> dict:
+def cmd_bianchi(args) -> dict:
     if args.d not in BIANCHI_DS:
         raise UsageError(f"--d must be one of {', '.join(map(str, BIANCHI_DS))}")
-    eps = _eps(cfg, tol.MAT_EPS)
     gens = bianchi_generators(args.d)
     alpha = bianchi_alpha(args.d)
     records = [_mat_record("generator", name, m)
@@ -247,15 +215,15 @@ def cmd_bianchi(args, cfg: dict) -> dict:
                     "alpha_re": alpha.real, "alpha_im": alpha.imag})
     status = "ok"
     if args.verify:
-        relators = _relator_records(gens, args.d, eps)
+        relators = _relator_records(gens, args.d, tol.MAT_EPS)
         records.extend(relators)
         if not all(r["ok"] for r in relators):
             status = "violation"
     inputs = {"d": args.d, "verify": bool(args.verify)}
-    return _envelope("bianchi", inputs, records, {"mat_eps": eps}, status)
+    return _envelope("bianchi", inputs, records, {"mat_eps": tol.MAT_EPS}, status)
 
 
-def cmd_gtk(args, cfg: dict) -> dict:
+def cmd_gtk(args) -> dict:
     num, den = _fraction_pair(args.theta, "theta")
     try:
         params = GtkParams(num, den, args.k)
@@ -421,7 +389,7 @@ def _suite_inequality_sweep(eps: float, max_len: Optional[int]) -> list:
 
 
 # suite -> (run(eps, max_len) -> records, envelope tolerance key, its
-#           default, default word-length cap or None)
+#           value, default word-length cap or None)
 _SUITES = {
     "bianchi": (_suite_bianchi, "mat_eps", tol.MAT_EPS, None),
     "losid": (_suite_losid, "mat_eps", tol.MAT_EPS, None),
@@ -433,17 +401,17 @@ _SUITES = {
 }
 
 
-def cmd_verify(args, cfg: dict) -> dict:
-    run, key, default, cap = _SUITES[args.suite]
-    tols = {key: _eps(cfg, default)}
+def cmd_verify(args) -> dict:
+    run, key, eps, cap = _SUITES[args.suite]
+    tols = {key: eps}
     inputs = {"suite": args.suite}
     if cap is not None:
-        inputs["max_len"] = _cap(args.max_len, cfg, cap)
-    elif args.max_len is not None:  # a config max_len is shared, so not refused
+        inputs["max_len"] = _cap(args.max_len, cap)
+    elif args.max_len is not None:
         takers = " and ".join(n for n, (*_, c) in _SUITES.items() if c is not None)
         raise UsageError(f"--max-len applies only to {takers}, not {args.suite}")
     try:
-        records = run(tols[key], inputs.get("max_len"))
+        records = run(eps, inputs.get("max_len"))
     except SearchError as exc:
         return _envelope("verify", inputs,
                          [{"kind": "error", "message": str(exc)}], tols, "error")
@@ -462,9 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Jorgensen numbers of two-generator Kleinian groups: "
                     "two-bridge knot and link representations, the "
                     "G(theta, k) families, Bianchi groups, and verification "
-                    "suites over the built-in tables.",
-        epilog="JNUM_TOL in the environment overrides the 1e-9 comparison "
-               "tolerances CX_EPS, MAT_EPS and J_EPS for the whole library.")
+                    "suites over the built-in tables.")
     parser.add_argument("--version", action="version",
                         version=f"%(prog)s {__version__}")
 
@@ -474,9 +440,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="print the machine-readable result envelope")
     out.add_argument("--csv", action="store_true",
                      help="print the result records as CSV")
-    common.add_argument("--config", metavar="FILE", default=None,
-                        help='JSON file {"tol": ..., "max_len": ...}; '
-                             "flags take precedence")
 
     sub = parser.add_subparsers(dest="command", required=True,
                                 metavar="COMMAND")
@@ -533,8 +496,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _load_config(args.config)
-        env = args.func(args, cfg)
+        env = args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

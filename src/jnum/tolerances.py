@@ -1,13 +1,9 @@
 """Shared numeric tolerances: the only module that picks a threshold.
 
-All equality in this package is tolerance-based. The defaults below are
-chosen so that 8-9 significant-digit table values round-trip. Setting the
-environment variable JNUM_TOL to a float before import overrides the three
-scalar comparison tolerances (CX_EPS, MAT_EPS, J_EPS) at once and nothing
-else; every value is read-only after import.
+All equality in this package is tolerance-based. The values below are
+constants, chosen so that 8-9 significant-digit table values round-trip;
+no environment variable or command-line option overrides them.
 """
-
-import os
 
 CX_EPS = 1e-9    # complex scalar equality |a - b| <= CX_EPS
 MAT_EPS = 1e-9   # projective matrix equality min(|M-N|, |M+N|)_inf <= MAT_EPS
@@ -28,14 +24,3 @@ J_AGREE_EPS = 1e-6     # J of a two-bridge witness pair vs |z| or |z|^2 (relativ
 COMM_EPS = 1e-8        # pairs with |tr [X, Y] - 2| <= COMM_EPS are elementary
 CLASS_EPS = 1e-6       # traces of one class, or lengths of a class and its power
 LENGTH_SLACK = 1e-9    # rounding slack of re lam(root) <= re lam(power) / 2
-
-_env = os.environ.get("JNUM_TOL")
-if _env is not None:
-    try:
-        _v = float(_env)
-    except ValueError:
-        raise RuntimeError(f"JNUM_TOL must be a float, got {_env!r}")
-    if not 0.0 < _v < 1.0:
-        raise RuntimeError(f"JNUM_TOL out of range (0, 1): {_v}")
-    CX_EPS = MAT_EPS = J_EPS = _v
-del _env

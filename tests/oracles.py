@@ -9,7 +9,9 @@ computes another way:
     reference for commutator_dev and the pair kernel;
   * subset_oracle_poly: the representation polynomial by brute-force
     subset expansion, the reference for the dynamic program;
-  * unit_j_pairs: every cataloged pair attaining J = 1.
+  * unit_j_pairs: every cataloged pair attaining J = 1;
+  * exact_sweep_counts: the element and candidate counts of an inequality
+    sweep over a group in PSL(2, O_d), in exact integers of O_d.
 """
 
 from __future__ import annotations
@@ -18,6 +20,8 @@ import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
+
+import numpy as np
 
 from jnum import tolerances as tol
 from jnum.catalog import arithcomp_table, gtk_families
@@ -101,3 +105,111 @@ def unit_j_pairs() -> tuple:
     pairs.extend((e.label, e.generators) for e in arithcomp_table()
                  if abs(e.expected_j - 1.0) <= tol.ROUND_EPS)
     return tuple(pairs)
+
+
+# ---------------------------------------------------------------------------
+# exact sweep counts over O_d
+#
+# An element x + y w of O_d, w = w_d the ring generator (sqrt(-d), or
+# (1 + sqrt(-d))/2 when d = 3 mod 4), is the integer pair (x, y); w^2 =
+# t w - n with (t, n) = (0, d) or (1, (1 + d) / 4). A matrix is the flat
+# 8-tuple (a_x, a_y, b_x, b_y, c_x, c_y, d_x, d_y).
+
+_A = (1, 0, 1, 0, 0, 0, 1, 0)
+_S = (0, 0, -1, 0, 1, 0, 0, 0)
+_T = (1, 0, 0, 1, 0, 0, 1, 0)  # [[1, w], [0, 1]]
+_B = (1, 0, 0, 0, 0, 1, 1, 0)  # [[1, 0], [w, 1]]
+
+# the groups of `verify inequality-sweep`, in its order, as (d, generators):
+# the figure-eight group <A, B(w_3)>, w_3 = e^(i pi / 3), then PSL2(O_d)
+SWEEP_GROUPS = ((3, (_A, _B)),) + tuple((d, (_A, _S, _T)) for d in (1, 2, 3, 7, 11))
+
+
+def _ring(d: int) -> tuple:
+    return (1, (1 + d) // 4) if d % 4 == 3 else (0, d)
+
+
+def omega(d: int) -> complex:
+    """w_d as a complex number."""
+    return (1 + 1j * math.sqrt(d)) / 2 if d % 4 == 3 else 1j * math.sqrt(d)
+
+
+def _times(x0, x1, y0, y1, ring):
+    t, n = ring
+    return x0 * y0 - n * x1 * y1, x0 * y1 + x1 * y0 + t * x1 * y1
+
+
+def _matmul(x: tuple, y: tuple, ring) -> tuple:
+    out = ()
+    for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)):  # row i of x, column j of y
+        p = _times(*x[4 * i:4 * i + 2], *y[2 * j:2 * j + 2], ring)
+        q = _times(*x[4 * i + 2:4 * i + 4], *y[4 + 2 * j:6 + 2 * j], ring)
+        out += (p[0] + q[0], p[1] + q[1])
+    return out
+
+
+def _sign_canonical(m: tuple) -> tuple:
+    # M and -M are one element of PSL2; the key whose first nonzero is positive
+    return max(m, tuple(-v for v in m))
+
+
+def _exact_ball(d: int, gens: tuple, max_len: int) -> list:
+    """The non-identity elements of word length 1..max_len, each once, as
+    sign-canonical 8-tuples, by a breadth-first search over every symbol."""
+    ring = _ring(d)
+    syms = [g for m in gens
+            for g in (m, (m[6], m[7], -m[2], -m[3], -m[4], -m[5], m[0], m[1]))]
+    ident = (1, 0, 0, 0, 0, 0, 1, 0)
+    seen, frontier, ball = {ident}, [ident], []
+    for _ in range(max_len):
+        level = []
+        for m in frontier:
+            for g in syms:
+                key = _sign_canonical(_matmul(m, g, ring))
+                if key not in seen:
+                    seen.add(key)
+                    level.append(key)
+        ball += level
+        frontier = level
+    return ball
+
+
+def _exact(*arrays):
+    # float64 holds every integer below 2^53 exactly, and a sum or product
+    # of such integers rounds to 2^53 or more whenever its exact value is
+    # that large, so every value checked below 2^52 here is exact
+    for a in arrays:
+        assert np.abs(a).max(initial=0.0) < 2.0 ** 52
+    return arrays
+
+
+def _pair_product(x, y, ring, op):
+    """x y in O_d over float64 arrays of coordinates (x_0, x_1), (y_0, y_1)."""
+    t, n = ring
+    xx, xy, yx, yy = _exact(*(op(f, g) for f, g in (
+        (x[0], y[0]), (x[0], y[1]), (x[1], y[0]), (x[1], y[1]))))
+    return _exact(xx - n * yy, xy + yx + t * yy)
+
+
+def exact_sweep_counts(d: int, gens: tuple, max_len: int) -> tuple:
+    """(n_elements, n_candidates) of the sweep over the ball of gens in PSL(2, O_d).
+
+    n_candidates counts the ordered pairs (X, Y) of ball elements with
+    tr [X, Y] != 2, decided exactly: with u = a - d,
+    tr [X, Y] - 2 = (b c' - c b')^2 + (u b' - b u')(c u' - u c'),
+    an element of O_d formed from outer products of integer coordinates.
+    """
+    ring = _ring(d)
+    m = np.array(_exact_ball(d, gens, max_len), dtype=np.float64).reshape(-1, 8)
+    u, b, c = (m[:, 0] - m[:, 6], m[:, 1] - m[:, 7]), m[:, 2:4].T, m[:, 4:6].T
+
+    def cross(x, y):  # x_X y_Y - y_X x_Y for every ordered pair (X, Y)
+        xy = _pair_product(x, y, ring, np.multiply.outer)
+        yx = _pair_product(y, x, ring, np.multiply.outer)
+        return _exact(xy[0] - yx[0], xy[1] - yx[1])
+
+    bc, ub, cu = cross(b, c), cross(u, b), cross(c, u)
+    sq = _pair_product(bc, bc, ring, np.multiply)
+    pq = _pair_product(ub, cu, ring, np.multiply)
+    v = _exact(sq[0] + pq[0], sq[1] + pq[1])
+    return len(m), int(np.count_nonzero((v[0] != 0) | (v[1] != 0)))
