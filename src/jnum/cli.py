@@ -153,14 +153,11 @@ def _bridge_command(args) -> dict:
         actual = "knot" if tb.is_knot else "link"
         raise UsageError(
             f"{p}/{q} is a two-bridge {actual} fraction; use the {actual} command")
-    inputs = {"p": p, "q": q, "root_index": args.root_index,
-              "max_len": sample_len}
+    inputs = {"p": p, "q": q, "max_len": sample_len}
     tols = {"cx_eps": tol.CX_EPS, "mat_eps": tol.MAT_EPS, "j_eps": tol.J_EPS}
     jreport = knot_jreport if is_knot_cmd else link_jreport
     try:
-        rep = jreport(tb.p, tb.q, args.root_index, sample_len)
-    except IndexError as exc:
-        raise UsageError(str(exc))
+        rep = jreport(tb.p, tb.q, sample_len=sample_len)
     except SearchError as exc:
         # a GeometricRootError carries the screen; a solver stall has none
         choice = getattr(exc, "choice", None)
@@ -451,8 +448,6 @@ def build_parser() -> argparse.ArgumentParser:
         br = sub.add_parser(name, parents=[common], help=about)
         br.add_argument("fraction", metavar="P/Q",
                         help=f"two-bridge fraction, {parity} P coprime to Q")
-        br.add_argument("--root-index", type=int, default=None, metavar="N",
-                        help="bypass the geometric screen and take root N")
         br.add_argument("--max-len", type=int, default=None, metavar="L",
                         help=f"screening word length, 2..{MAX_BALL_LEN} "
                              f"(default {SCREEN_LEN})")

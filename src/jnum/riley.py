@@ -235,9 +235,9 @@ class RootChoice:
     """Outcome of the geometric-root screen, with the roots it was made from.
 
     statuses and screen_j run parallel to roots.roots. A root's status is
-    "real", "conjugate" (lower half plane), "unscreened" (root_index
-    bypassed the screen), "rejected" or "survivor"; screen_j is the J of
-    the violation that rejected it, None for every other root.
+    "real", "conjugate" (lower half plane), "rejected" or "survivor";
+    screen_j is the J of the violation that rejected it, None for every
+    other root.
     index is the position of z in roots.roots, None when nothing survived;
     ambiguous means that more than one root survived.
     """
@@ -267,7 +267,7 @@ class RootChoice:
         return len(self.survivors) > 1
 
 
-def select_geometric_root(tb: TwoBridge, root_index: Optional[int] = None,
+def select_geometric_root(tb: TwoBridge, *,
                           sample_len: int = SCREEN_LEN) -> RootChoice:
     """Build and solve the representation polynomial, then pick the geometric root.
 
@@ -280,8 +280,7 @@ def select_geometric_root(tb: TwoBridge, root_index: Optional[int] = None,
     swept as soon as it is built by the pair pass folded over inverse twins
     (one element of each {X, X^-1}), where a non-elementary pair with
     J < 1 - SCREEN_SLACK rejects it and stops the growth. The
-    survivor of smallest modulus is chosen. root_index bypasses the screen
-    and picks that position.
+    survivor of smallest modulus is chosen.
     """
     if sample_len < 2:
         raise ValueError(f"screen length {sample_len} below 2 would screen nothing")
@@ -291,8 +290,6 @@ def select_geometric_root(tb: TwoBridge, root_index: Optional[int] = None,
         lp = link_poly(tb.p, tb.q)
         poly, raw = lp.normalized, lp.raw
     rs = solve_roots(poly)
-    if root_index is not None and not 0 <= root_index < len(rs.roots):
-        raise IndexError(f"root index {root_index} out of range 0..{len(rs.roots) - 1}")
     statuses, screen_j = [], []
     for r in rs.roots:
         bad_j = None
@@ -300,19 +297,16 @@ def select_geometric_root(tb: TwoBridge, root_index: Optional[int] = None,
             status = "real"
         elif r.imag < 0.0:
             status = "conjugate"
-        elif root_index is not None:
-            status = "unscreened"
         else:
             hit = first_violation(GeneratorSet(("A", "B"), (RILEY_A, riley_b(r))),
                                   sample_len, 1.0 - tol.SCREEN_SLACK)
             status, bad_j = ("survivor", None) if hit is None else ("rejected", hit[0])
         statuses.append(status)
         screen_j.append(bad_j)
-    if root_index is None:
-        survivors = [i for i, s in enumerate(statuses) if s == "survivor"]
-        root_index = min(survivors, default=None,
-                         key=lambda i: (abs(rs.roots[i]), rs.roots[i].real))
-    return RootChoice(rs, raw, tuple(statuses), tuple(screen_j), root_index)
+    survivors = [i for i, s in enumerate(statuses) if s == "survivor"]
+    index = min(survivors, default=None,
+                key=lambda i: (abs(rs.roots[i]), rs.roots[i].real))
+    return RootChoice(rs, raw, tuple(statuses), tuple(screen_j), index)
 
 
 # ---------------------------------------------------------------------------
@@ -350,8 +344,7 @@ class BridgeReport:
         return self.choice.z
 
 
-def _bridge_jreport(tb: TwoBridge, root_index: Optional[int],
-                    sample_len: int) -> BridgeReport:
+def _bridge_jreport(tb: TwoBridge, sample_len: int) -> BridgeReport:
     """Jorgensen data of the two-bridge knot or link tb at its geometric root.
 
     Knots (p odd) satisfy A W = W B and J = J(A, W) = |z|; links (p even)
@@ -359,7 +352,7 @@ def _bridge_jreport(tb: TwoBridge, root_index: Optional[int],
     its p - 1 letters at z, which keeps its determinant within rounding of
     1 where the polynomial entries of word_matrix cancel badly.
     """
-    choice = select_geometric_root(tb, root_index, sample_len)
+    choice = select_geometric_root(tb, sample_len=sample_len)
     z = choice.z
     if z is None:
         raise GeometricRootError(
@@ -390,19 +383,17 @@ def _bridge_jreport(tb: TwoBridge, root_index: Optional[int],
     return BridgeReport(choice, jr.value, math.sqrt(abs(z)) if knot else abs(z), jr)
 
 
-def knot_jreport(p: int, q: int, root_index: Optional[int] = None,
-                 sample_len: int = SCREEN_LEN) -> BridgeReport:
+def knot_jreport(p: int, q: int, *, sample_len: int = SCREEN_LEN) -> BridgeReport:
     """Jorgensen data of the two-bridge knot p/q: J(A, W) = |z| < 4."""
     tb = normalize(p, q)
     if not tb.is_knot:
         raise ValueError(f"{p}/{q} is a link fraction; use link_jreport")
-    return _bridge_jreport(tb, root_index, sample_len)
+    return _bridge_jreport(tb, sample_len)
 
 
-def link_jreport(p: int, q: int, root_index: Optional[int] = None,
-                 sample_len: int = SCREEN_LEN) -> BridgeReport:
+def link_jreport(p: int, q: int, *, sample_len: int = SCREEN_LEN) -> BridgeReport:
     """Jorgensen data of the two-bridge link p/q: J(A, B) = |z|^2 < 16."""
     tb = normalize(p, q)
     if tb.is_knot:
         raise ValueError(f"{p}/{q} is a knot fraction; use knot_jreport")
-    return _bridge_jreport(tb, root_index, sample_len)
+    return _bridge_jreport(tb, sample_len)

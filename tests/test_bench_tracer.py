@@ -14,9 +14,11 @@ from pathlib import Path
 
 import pytest
 
+from jnum import riley
 from jnum.intpoly import IntPoly
 from jnum.linalg import Mat2
-from jnum.riley import RILEY_A, TwoBridge, riley_b, select_geometric_root
+from jnum.riley import (RILEY_A, TwoBridge, knot_jreport, link_jreport, riley_b,
+                        select_geometric_root)
 from jnum.words import GeneratorSet, ball_levels, first_violation, inequality_sweep
 
 _SPEC = importlib.util.spec_from_file_location(
@@ -45,6 +47,22 @@ def test_root_choice_attrs(p, q):
         "screened": True, "survivors": choice.statuses.count("survivor"),
         "rejected": choice.statuses.count("rejected"),
         "ambiguous": choice.ambiguous}
+
+
+@pytest.mark.parametrize("report,p,q", [(knot_jreport, 7, 3), (link_jreport, 8, 3)])
+def test_the_pipeline_calls_the_screen_as_the_tracer_reads_it(monkeypatch, report, p, q):
+    # _root_choice reads a second positional argument as a forced root, so
+    # the call the pipeline really makes must read as screened
+    calls = []
+
+    def wrapped(*args, **kwargs):
+        calls.append((args, kwargs))
+        return select_geometric_root(*args, **kwargs)
+
+    monkeypatch.setattr(riley, "select_geometric_root", wrapped)
+    choice = report(p, q).choice
+    (args, kwargs), = calls
+    assert tracer._root_choice(args, kwargs, choice)["screened"] is True
 
 
 def test_sweep_ball_and_hit_attrs():

@@ -36,5 +36,7 @@ def test_every_fraction_answers_as_recorded():
             if wj is not None:
                 assert math.isclose(gj, wj, rel_tol=1e-9, abs_tol=0.0), g["fraction"]
         if g["status"] == "ok":
-            # Jorgensen's inequality: no discrete non-elementary group has J < 1
+            # every answer is the screen's survivor, and Jorgensen's
+            # inequality holds there: no discrete non-elementary group has J < 1
+            assert g["statuses"][g["index"]] == "survivor", g["fraction"]
             assert g["j"] >= 1.0 - tol.J_EPS, g["fraction"]

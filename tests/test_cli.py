@@ -4,29 +4,41 @@ cap, and tolerances that no environment variable changes."""
 import cmath
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jnum import catalog, cli
+from jnum import catalog, cli, riley
 from jnum import tolerances as tol
 from jnum.arith import PASS, ConditionReport
 from jnum.cli import main
+from jnum.linalg import jorgensen_pair
 from jnum.riley import RILEY_A, riley_b
 from jnum.words import GeneratorSet
 from oracles import SWEEP_GROUPS, exact_sweep_counts, omega
 
 SCHEMA = json.loads(
     (resources.files("jnum") / "data" / "cli_schema.json").read_text())
+
+
+def child_env(env):
+    """env with this checkout's src first on PYTHONPATH, so that a child
+    interpreter runs this tree and not an installed jnum."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return {**env, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, env.get("PYTHONPATH"))))}
 
 
 def run_json(capsys, argv):
@@ -62,7 +74,8 @@ def test_exit_code_usage_wrong_parity(capsys):
 def test_exit_code_usage_bad_fraction(capsys):
     assert main(["knot", "7:3"]) == 2
     assert main(["knot", "6/4"]) == 2
-    capsys.readouterr()
+    assert main(["knot", "7/x"]) == 2
+    assert "integer parts, got '7/x'" in capsys.readouterr().err
 
 
 def test_exit_code_pipeline_failure(capsys):
@@ -108,14 +121,15 @@ def test_knot_envelope(capsys):
     assert sum(r["selected"] for r in roots) == 1
 
 
-def test_knot_root_index_bypasses_screen(capsys):
-    code, env = run_json(capsys, ["knot", "7/3", "--root-index", "0"])
-    assert code == 0
-    roots = [r for r in env["results"] if r["kind"] == "root"]
-    assert all(r["status"] in ("real", "conjugate", "unscreened") for r in roots)
-    rep = record(env, "report")
-    assert rep["z_im"] == 0.0
-    assert rep["jorgensen"] < 1.0
+@pytest.mark.parametrize("argv", [["knot", "7/3", "--root-index", "0"],
+                                  ["link", "20/9", "--root-index", "3"]])
+def test_no_option_bypasses_the_screen(capsys, argv):
+    # the selected root is always the screen's survivor: forcing a root once
+    # reported J = 0.5698 < 1 for 7/3 at a real root
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "--root-index" in capsys.readouterr().err
 
 
 def test_link_envelope(capsys):
@@ -213,10 +227,8 @@ def test_every_bridge_fraction_answers_or_refuses(fraction):
 
 
 @pytest.mark.parametrize("argv", [
-    ["knot", "7/3"], ["link", "8/3"], ["knot", "7/3", "--root-index", "0"],
-    ["link", "4/1"]])
+    ["knot", "7/3"], ["link", "8/3"], ["link", "4/1"]])
 def test_bridge_op_builds_and_solves_once(capsys, monkeypatch, argv):
-    import jnum.riley as riley
     calls = {"poly": 0, "solve_roots": 0, "select_geometric_root": 0}
 
     def counted(key, fn):
@@ -245,6 +257,33 @@ def test_error_envelope_keeps_the_screen(capsys):
     assert all(r["screen_j"] < 1.0 for r in rejected)
     assert [r["index"] for r in roots if r["selected"]] == [10]
     assert "A W = W B" in record(env, "error")["message"]
+
+
+def _far_survivor(tb, *, sample_len):
+    # a survivor outside the |z| < 4 disc that bounds every two-bridge root
+    roots = riley.RootSet(riley.knot_poly(tb.p, tb.q), (4.5j,), 0.0)
+    return riley.RootChoice(roots, None, ("survivor",), (None,), 0)
+
+
+def _off_pair(x, y):
+    # a J(A, W) that disagrees with |z| at the chosen root
+    jr = jorgensen_pair(x, y)
+    return dataclasses.replace(jr, value=jr.value + 0.5)
+
+
+@pytest.mark.parametrize("name,fake,message", [
+    ("select_geometric_root", _far_survivor, ">= 4"),
+    ("jorgensen_pair", _off_pair, "disagrees with |z|")])
+def test_bridge_refusals_carry_the_choice(capsys, monkeypatch, name, fake, message):
+    monkeypatch.setattr(riley, name, fake)
+    with pytest.raises(riley.GeometricRootError, match=re.escape(message)) as exc:
+        riley.knot_jreport(7, 3)
+    survivor = exc.value.choice.statuses.index("survivor")
+    assert exc.value.choice.index == survivor
+    code, env = run_json(capsys, ["knot", "7/3"])
+    assert code == 1 and env["status"] == "error"
+    assert message in record(env, "error")["message"]
+    assert [r["index"] for r in env["results"] if r.get("selected")] == [survivor]
 
 
 # ---------------------------------------------------------------------------
@@ -395,6 +434,17 @@ def test_verify_knot_table_fails_on_a_wrong_alpha(capsys, mutate_fixture):
     assert _failed_labels(env) == ["6_1"]
 
 
+def test_verify_knot_table_fails_on_a_wrong_minpoly(capsys, mutate_fixture):
+    def edit(data):
+        data["rows"][0]["minpoly"] = "1,2,2,1"
+
+    mutate_fixture("knot_table.json", edit)
+    code, env = run_json(capsys, ["verify", "knot-table"])
+    assert code == 1 and env["status"] == "violation"
+    assert _failed_labels(env) == ["5_2"]
+    assert record(env, "knot")["minpoly_divides"] is False
+
+
 def test_verify_arithcomp_fails_on_a_wrong_expected_j(capsys, mutate_fixture):
     label = "6^2_3 link group"
 
@@ -415,6 +465,9 @@ def test_verify_bianchi_fails_on_a_non_relator(capsys, monkeypatch):
     assert code == 1 and env["status"] == "violation"
     failed = [(r["d"], r["word"]) for r in env["results"] if r["ok"] is False]
     assert failed == [(7, "A T A T")]
+    code, env = run_json(capsys, ["bianchi", "--d", "7", "--verify"])
+    assert code == 1 and env["status"] == "violation"
+    assert [r["word"] for r in env["results"] if r.get("ok") is False] == ["A T A T"]
 
 
 def test_verify_losid_fails_on_a_moved_k(capsys, monkeypatch):
@@ -474,7 +527,7 @@ def test_catalog_commands_start_without_numpy():
     ops += [["verify", s] for s in
             ("bianchi", "losid", "arithcomp", "elliptic", "gtk-families")]
     proc = subprocess.run([sys.executable, "-c", _COLD_START, json.dumps(ops)],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=child_env(os.environ))
     assert proc.returncode == 0, proc.stderr
 
 
@@ -583,6 +636,13 @@ def test_max_len_above_the_ball_cap_is_a_usage_error(capsys, argv):
     assert capsys.readouterr().err == expected
 
 
+@pytest.mark.parametrize("argv", [["knot", "7/3", "--max-len", "0"],
+                                  ["verify", "knot-table", "--max-len", "0"]])
+def test_max_len_below_one_is_a_usage_error(capsys, argv):
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: --max-len must be a positive integer\n"
+
+
 @pytest.mark.parametrize("argv", [["link", "20/9", "--max-len", "1"],
                                   ["knot", "7/3", "--max-len", "1"]])
 def test_screen_length_below_two_is_a_usage_error(capsys, argv):
@@ -599,7 +659,7 @@ def test_screen_length_below_two_is_a_usage_error(capsys, argv):
 def test_environment_leaves_the_tolerances_alone():
     # JNUM_TOL once rebound CX_EPS, MAT_EPS and J_EPS at import; no value of
     # it, garbage or empty included, changes a byte of the output now
-    base = {k: v for k, v in os.environ.items() if k != "JNUM_TOL"}
+    base = child_env({k: v for k, v in os.environ.items() if k != "JNUM_TOL"})
     outs = []
     for value in (None, "abc", ""):
         env = base if value is None else {**base, "JNUM_TOL": value}
