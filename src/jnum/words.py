@@ -5,7 +5,8 @@ inequality checks.
 The aggregate operations min_c_entry, first_violation and
 inequality_sweep walk a breadth-first ball of group elements with
 projective dedup on a 1e-6 quantization grid; min_loxodromic_defect
-takes the ball's trace set from cyclically reduced necklaces instead and
+takes the ball's trace set from cyclically reduced necklaces instead, one
+of each orbit under inversion and, for two generators, reversal, and
 walks it in ascending defect |tr^2 - 4|, stopping at the first trace that
 is no power, with no sort into classes. A Python set holds the grid key of
 every element seen so far, and each level keeps the first candidate, in
@@ -283,10 +284,34 @@ def _primitive_min_defect(traces: np.ndarray) -> float:
     raise SearchError("every loxodromic class resolved as a power")  # unreachable
 
 
+def _least_in_orbit(code, rev, length: int, ns: int, bits: int):
+    """Mask of the necklaces, given by their codes and reversed codes, that are
+    no larger than every rotation of their inverse and, when ns == 4, of their
+    reverse and their letter inversion.
+
+    Letters are bits wide, the first the most significant, so the numeric
+    order of codes is the lexicographic order of words and a rotation is two
+    shifts. The inverse is the reverse with every letter XOR 1.
+    """
+    import numpy as np
+    width = bits * length
+    flip = np.uint64(sum(1 << k for k in range(0, width, bits)))  # XOR 1 per letter
+    mask = np.uint64((1 << width) - 1)
+    images = [rev ^ flip] + ([rev, code ^ flip] if ns == 4 else [])
+    keep = np.ones(len(code), dtype=bool)
+    for image in images:
+        keep &= code <= image
+        for k in range(bits, width, bits):
+            keep &= code <= (((image << np.uint64(k)) & mask) | (image >> np.uint64(width - k)))
+    return keep
+
+
 @lru_cache(maxsize=1)
 def _necklace_tree(ns: int, max_len: int) -> tuple:
-    """Read-only (src, nxt, neck) for each length 2..max_len: the parent row, the
-    last symbol and the cyclically reduced necklace mask of each pre-necklace.
+    """Read-only (src, nxt, neck) for each length 1..max_len: the parent row (at
+    length 1 the empty word), the last symbol and the kept-necklace mask of each
+    row, with one cyclically reduced necklace kept for each orbit of the
+    symmetries that keep a trace.
 
     A necklace is the lexicographically least rotation of a word, periodic
     ones included. The Fredricksen-Kessler-Maiorana pre-necklace tree is
@@ -294,45 +319,70 @@ def _necklace_tree(ns: int, max_len: int) -> tuple:
     symbol b that is not the inverse of its last symbol and is >= word[L - p];
     the period stays p when b equals word[L - p] and becomes L + 1 otherwise.
     A row with L % p == 0 is a necklace, and it is cyclically reduced when
-    its first symbol is not the inverse of its last. The tree depends only
-    on (ns, max_len), so one build serves every group over ns symbols.
+    its first symbol is not the inverse of its last.
+
+    The tree is folded over the symmetries that keep every trace (see
+    min_loxodromic_defect): inversion, and for two generators (ns == 4)
+    reversal and so letter inversion w(A^-1, B^-1) = (w^rev)^-1. A necklace
+    is kept when it is least in its orbit (_least_in_orbit). A kept necklace
+    starts with its least letter, which is even, or the inverse, holding
+    that letter XOR 1, would have a lesser rotation; so the tree grows from
+    the even symbols only. A backward pass then drops every row that is
+    neither a kept necklace nor an ancestor of one, and renumbers src; the
+    last level holds kept necklaces only. The tree depends only on
+    (ns, max_len), so one build serves every group over ns symbols.
     """
     import numpy as np
-    word = np.arange(ns, dtype=np.int8)[:, None]
-    period = np.ones(ns, dtype=np.int64)
-    levels = []
+    bits = (ns - 1).bit_length()
+    nxt = np.arange(0, ns, 2)
+    word, period = nxt[:, None].astype(np.int8), np.ones(len(nxt), dtype=np.int64)
+    code = rev = nxt.astype(np.uint64)
+    grown = [(np.zeros(len(nxt), dtype=np.intp), nxt, np.ones(len(nxt), dtype=bool))]
     for length in range(1, max_len):
         ref = word[np.arange(len(word)), length - period]
         src, nxt = np.nonzero((np.arange(ns) != (word[:, -1, None] ^ 1))
                               & (np.arange(ns) >= ref[:, None]))
         word = np.concatenate((word[src], nxt[:, None].astype(np.int8)), axis=1)
         period = np.where(nxt == ref[src], period[src], length + 1)
-        neck = ((length + 1) % period == 0) & (word[:, 0] != (word[:, -1] ^ 1))
-        for arr in (src, nxt, neck):
+        last = nxt.astype(np.uint64)
+        code = (code[src] << np.uint64(bits)) | last
+        rev = rev[src] | (last << np.uint64(bits * length))
+        neck = np.flatnonzero(((length + 1) % period == 0) & (word[:, 0] != (word[:, -1] ^ 1)))
+        kept = np.zeros(len(src), dtype=bool)
+        kept[neck[_least_in_orbit(code[neck], rev[neck], length + 1, ns, bits)]] = True
+        grown.append((src, nxt, kept))
+    levels, stay = [], grown[-1][2]
+    for depth in range(len(grown) - 1, -1, -1):
+        src, nxt, kept = (arr[stay] for arr in grown[depth])
+        if depth:
+            stay = grown[depth - 1][2].copy()
+            stay[src] = True
+            src = np.cumsum(stay)[src] - 1
+        for arr in (src, nxt, kept):
             arr.flags.writeable = False
-        levels.append((src, nxt, neck))
-    return tuple(levels)
+        levels.append((src, nxt, kept))
+    return tuple(levels[::-1])
 
 
 def _necklace_traces(gens: GeneratorSet, max_len: int) -> np.ndarray:
-    """Traces of the cyclically reduced necklaces of length 1..max_len.
+    """Traces of the kept necklaces of _necklace_tree, length 1..max_len: one
+    trace of each orbit of the cyclically reduced necklaces.
 
-    The products of _necklace_tree's rows are one (2, 2, n) array, a row per
-    entry, each level formed from its parents and last symbols with 8 complex
-    multiplies; the last level forms only its necklaces' traces.
+    The products of the tree's rows are one (2, 2, n) array, a row per entry,
+    each level formed from its parents (the identity at length 1) and last
+    symbols with 8 complex multiplies; the last level forms only its traces.
     """
     import numpy as np
     syms = _symbol_array(gens).transpose(1, 2, 0)
-    prod, tree = syms, _necklace_tree(syms.shape[2], max_len)
-    traces = [prod[0, 0] + prod[1, 1]]
-    for src, nxt, neck in tree[:-1]:
-        p, s = np.take(prod, src, axis=2), np.take(syms, nxt, axis=2)
+    *inner, (src, nxt, _) = _necklace_tree(syms.shape[2], max_len)
+    prod, traces = np.eye(2, dtype=np.complex128)[:, :, None], []
+    for parent, symbol, neck in inner:
+        p, s = np.take(prod, parent, axis=2), np.take(syms, symbol, axis=2)
         prod = p[:, :1] * s[0] + p[:, 1:] * s[1]
         traces.append(prod[0, 0, neck] + prod[1, 1, neck])
-    for src, nxt, neck in tree[-1:]:  # tr P S = a sa + b sc + c sb + d sd
-        p, s = np.take(prod, src[neck], axis=2), np.take(syms, nxt[neck], axis=2)
-        traces.append((p[0, 0] * s[0, 0] + p[0, 1] * s[1, 0])
-                      + (p[1, 0] * s[0, 1] + p[1, 1] * s[1, 1]))
+    p, s = np.take(prod, src, axis=2), np.take(syms, nxt, axis=2)
+    traces.append((p[0, 0] * s[0, 0] + p[0, 1] * s[1, 0])  # tr P S = a sa + b sc + c sb + d sd
+                  + (p[1, 0] * s[0, 1] + p[1, 1] * s[1, 1]))
     return np.concatenate(traces)
 
 
@@ -348,9 +398,16 @@ def min_loxodromic_defect(gens: GeneratorSet, max_len: int) -> float:
     trace of its cyclically reduced core c, a rotation of a necklace of
     length <= max_len. Conversely each such necklace's element is in the
     ball, or its grid-dedup partner with the same trace is. So the
-    necklace traces, periodic ones included, are the ball's trace set. At
-    length 12 that is products for the 53,632 rows of lengths 1..11, then
-    traces for the 44,370 length-12 necklaces, from a tree built once per
+    necklace traces, periodic ones included, are the ball's trace set.
+    Each trace is taken once per orbit of two identities. tr w^-1 = tr w:
+    Mat2.inv is the adjugate, and tr adj P = tr P. For two generators
+    tr w^rev = tr w (Horowitz, Comm. Pure Appl. Math. 25, 1972):
+    w^rev(A, B) = w(A^T, B^T)^T, and (A^T, B^T) has the tr A, tr B and
+    tr AB that fix every trace through its Fricke polynomial; for three
+    generators tr ABC and tr CBA differ. At length 12 that is products
+    for 18,631 rows of lengths 1..11, then traces for 11,595 length-12
+    necklaces, 18,618 traces in all for the 69,996 necklaces (53,632 rows
+    and 44,370 length-12 necklaces unfolded), from a tree built once per
     (symbol count, length), where the ball has about 1.06 M elements.
     Powers are still found from the traces, since a word that is no power
     in the free group can be a proper power in the group.

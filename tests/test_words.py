@@ -175,12 +175,41 @@ def _burnside_necklaces(n):
     return total // n
 
 
+def _kept_necklaces(ns, max_len):
+    """The kept necklaces of _necklace_tree(ns, max_len), one list per length,
+    each word rebuilt from its (src, nxt) chain."""
+    rows, kept = [()], []
+    for src, nxt, neck in words._necklace_tree(ns, max_len):
+        rows = [rows[s] + (b,) for s, b in zip(src.tolist(), nxt.tolist())]
+        kept.append([w for w, k in zip(rows, neck.tolist()) if k])
+    return kept
+
+
+def _least_rotation(w):
+    return min(w[k:] + w[:k] for k in range(len(w)))
+
+
+def _trace_orbit(w):
+    """The necklaces of the two-generator word w, its inverse, its reverse and
+    its letter inversion: the words whose trace the fold takes to be w's."""
+    inverse = tuple(b ^ 1 for b in reversed(w))
+    return {_least_rotation(u) for u in (w, inverse, w[::-1], inverse[::-1])}
+
+
 def test_necklace_counts_match_burnside():
-    counts = [len(words._necklace_traces(FIG8, n)) for n in range(1, 13)]
-    per_length = [counts[0]] + [b - a for a, b in zip(counts, counts[1:])]
-    assert per_length == [_burnside_necklaces(n) for n in range(1, 13)]
-    assert per_length[:4] == [4, 8, 12, 26] and per_length[-1] == 44370
-    assert counts[-1] == 69996
+    # the orbits of the kept necklaces are disjoint, cyclically reduced and
+    # as many necklaces in all as Burnside counts: the fold drops no orbit
+    kept = _kept_necklaces(4, 12)
+    assert [len(level) for level in kept] == [2, 4, 6, 13, 22, 52, 106, 266,
+                                              630, 1652, 4270, 11595]
+    for n, level in enumerate(kept, start=1):
+        orbits = [_trace_orbit(w) for w in level]
+        union = set().union(*orbits)
+        assert len(union) == sum(len(orbit) for orbit in orbits), n
+        assert all(len(w) == n and w[0] != w[-1] ^ 1
+                   and all(a != b ^ 1 for a, b in zip(w, w[1:])) for w in union), n
+        assert len(union) == _burnside_necklaces(n), n
+    assert _burnside_necklaces(12) == 44370
 
 
 def _ball_defect(gens, max_len):
@@ -344,26 +373,71 @@ def _oracle_necklace_traces(gens, max_len):
 
 
 def test_necklace_traces_match_the_product_oracle_at_arity_2_and_3():
-    # interleaved, so that a tree cached on the wrong key gives the wrong rows
-    for gens, max_len, n in ((FIG8, 5, 102), (THREE_GENS, 5, 868), (FIG8, 8, 1386)):
+    # interleaved, so that a tree cached on the wrong key gives the wrong rows;
+    # the three-generator tree folds over inversion only
+    for gens, max_len, n_kept, n in ((FIG8, 5, 47, 102), (THREE_GENS, 5, 434, 868),
+                                     (FIG8, 8, 471, 1386)):
         fast = words._necklace_traces(gens, max_len)
         slow = _oracle_necklace_traces(gens, max_len)
-        assert len(fast) == len(slow) == n
+        assert len(fast) == n_kept and len(slow) == n
         for a, b in ((fast, slow), (slow, fast)):
             assert (_nearest(a, b) <= 1e-9 * (1 + np.abs(a))).all()
+
+
+def _random_sl2(rng):
+    a, b, c = (complex(*rng.normal(size=2)) for _ in range(3))
+    return Mat2(a, b, c, (1 + b * c) / a)
+
+
+@pytest.mark.parametrize("seed,max_len", [(1, 5), (2, 6), (3, 7), (4, 8)])
+def test_folded_traces_are_the_oracle_trace_set_on_random_pairs(seed, max_len):
+    # no Riley pair: tr A != tr B, so a fold that took one orbit for another,
+    # or dropped one, leaves a trace of the oracle without a near neighbour
+    rng = np.random.default_rng(seed)
+    gens = GeneratorSet(("A", "B"), (_random_sl2(rng), _random_sl2(rng)))
+    fast = words._necklace_traces(gens, max_len)
+    slow = _oracle_necklace_traces(gens, max_len)
+    assert len(fast) == sum([2, 4, 6, 13, 22, 52, 106, 266][:max_len])
+    for a, b in ((fast, slow), (slow, fast)):
+        assert (_nearest(a, b) <= 1e-9 * (1 + np.abs(a))).all()
+
+
+def test_reversal_keeps_the_trace_of_two_generators_only():
+    # tr w^rev = tr w for two generators, so the arity-2 tree folds reversal;
+    # for three it fails, and the arity-3 tree keeps both tr ABC and tr CBA
+    rng = np.random.default_rng(5)
+    pair = GeneratorSet(("A", "B"), (_random_sl2(rng), _random_sl2(rng)))
+    w = pair.word("AAB'AB")
+    t, t_rev = (evaluate(pair, u).trace for u in (w, Word(w.letters[::-1])))
+    assert abs(t - t_rev) <= 1e-12 * abs(t)
+    t_abc, t_cba = (evaluate(THREE_GENS, THREE_GENS.word(u)).trace for u in ("ABC", "CBA"))
+    assert abs(t_abc - t_cba) > 0.5
+    fast = words._necklace_traces(THREE_GENS, 3)
+    assert (_nearest(np.array([t_abc, t_cba]), fast) <= 1e-12).all()
 
 
 def test_the_necklace_tree_is_cached_and_read_only():
     tree = words._necklace_tree(6, 4)
     assert words._necklace_tree(6, 4) is tree
-    assert len(tree) == 3
+    assert len(tree) == 4
     for level in tree:
         for arr in level:
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = arr[0]
-    assert words._necklace_tree(6, 1) == ()
-    generators = [m.trace for g in THREE_GENS.mats for m in (g, g.inv())]
-    assert words._necklace_traces(THREE_GENS, 1).tolist() == generators
+    # at length 1 one of each {g, g^-1}
+    assert words._necklace_traces(THREE_GENS, 1).tolist() == [g.trace for g in THREE_GENS.mats]
+
+
+UNFOLDED_ALPHA_12 = {"5_2": 4.219276205487545, "6_1": 3.955211257828308,
+                     "7_4": 4.434378815535585, "7_7": 5.105997169378984}
+
+
+@pytest.mark.parametrize("label", TABLE_KNOTS)
+def test_length_12_defects_keep_the_unfolded_values(label):
+    # the defects the tree gave before it was folded, when it formed the
+    # trace of every necklace: the fold moves them by rounding only
+    got = min_loxodromic_defect(_solved_table_group(label), 12)
+    assert math.isclose(got, UNFOLDED_ALPHA_12[label], rel_tol=1e-12)
 
 
 def test_min_loxodromic_defect_refuses_short_and_overlong_lengths():
