@@ -28,7 +28,7 @@ from typing import Optional
 
 from . import tolerances as tol
 from .intpoly import IntPoly
-from .linalg import IDENT, Mat2, proj_dist
+from .linalg import IDENT, UNIT_TRANSLATION, Mat2, proj_dist
 from .words import GeneratorSet, Word, evaluate
 
 BIANCHI_DS = (1, 2, 3, 7, 11)
@@ -71,7 +71,7 @@ def gtk_generators(params: GtkParams) -> GeneratorSet:
     """The pair (A, B(theta, k)); J(A, B) = 1 for every theta and k."""
     e_i = cmath.exp(1j * params.theta)
     b = Mat2(0.0, -1j / e_i, -1j * e_i, 2.0 * params.k * e_i)
-    return GeneratorSet(("A", "B"), (Mat2(1.0, 1.0, 0.0, 1.0), b))
+    return GeneratorSet(("A", "B"), (UNIT_TRANSLATION, b))
 
 
 def bianchi_alpha(d: int) -> complex:
@@ -87,7 +87,7 @@ def bianchi_generators(d: int) -> GeneratorSet:
     alpha = bianchi_alpha(d)
     return GeneratorSet(
         ("A", "S", "T"),
-        (Mat2(1.0, 1.0, 0.0, 1.0), Mat2(0.0, -1.0, 1.0, 0.0),
+        (UNIT_TRANSLATION, Mat2(0.0, -1.0, 1.0, 0.0),
          Mat2(1.0, alpha, 0.0, 1.0)))
 
 
@@ -138,8 +138,7 @@ def arithcomp_table() -> tuple:
     out = []
     for row in _load_json("arithcomp.json"):
         c = _cx(row["c"])
-        gens = GeneratorSet(("A", "B"),
-                            (Mat2(1.0, 1.0, 0.0, 1.0), Mat2(1.0, 0.0, c, 1.0)))
+        gens = GeneratorSet(("A", "B"), (UNIT_TRANSLATION, Mat2(1.0, 0.0, c, 1.0)))
         out.append(CatalogEntry(row["label"], gens, float(row["expected_j"]),
                                 row["field_d"]))
     return tuple(out)
@@ -297,7 +296,7 @@ def losid_identity_suite() -> tuple:
     S T = B.
     """
     checks = []
-    a = Mat2(1.0, 1.0, 0.0, 1.0)
+    a = UNIT_TRANSLATION
     rt3 = math.sqrt(3.0)
 
     def translation(mu: complex) -> Mat2:

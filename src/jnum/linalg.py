@@ -77,6 +77,7 @@ class Mat2:
 
 
 IDENT = Mat2(1.0, 0.0, 0.0, 1.0)
+UNIT_TRANSLATION = Mat2(1.0, 1.0, 0.0, 1.0)  # z -> z + 1
 
 
 def proj_dist(x: Mat2, y: Mat2) -> float:

@@ -47,11 +47,11 @@ from typing import Optional
 
 from . import tolerances as tol
 from .intpoly import IntPoly, squarefree_factors
-from .linalg import JReport, Mat2, jorgensen_pair
+from .linalg import UNIT_TRANSLATION, JReport, Mat2, jorgensen_pair
 from .words import GeneratorSet, SearchError, Word, evaluate, first_violation
 
 
-RILEY_A = Mat2(1.0, 1.0, 0.0, 1.0)
+RILEY_A = UNIT_TRANSLATION
 
 
 def riley_b(z: complex) -> Mat2:

@@ -6,13 +6,14 @@ The aggregate operations min_c_entry, first_violation and
 inequality_sweep walk a breadth-first ball of group elements with
 projective dedup on a 1e-6 quantization grid; min_loxodromic_defect
 takes the ball's trace set from cyclically reduced necklaces instead, one
-of each orbit under inversion and, for two generators, reversal, and
-walks it in ascending defect |tr^2 - 4|, stopping at the first trace that
-is no power, with no sort into classes. A Python set holds the grid key of
-every element seen so far, and each level keeps the first candidate, in
-order, of each key not yet in it. The ball grows one radius at a time, so
-first_violation pairs each radius as soon as it is built and builds no
-level past the radius that rejects.
+of each orbit under inversion and, for two generators, reversal, each
+length's products formed from the one before by one rule, and walks it,
+signs as they come, in ascending defect |tr^2 - 4|, stopping at the first
+trace that is no power, with no sort into classes. A Python set holds the
+grid key of every element seen so far, and each level keeps the first
+candidate, in order, of each key not yet in it. The ball grows one radius
+at a time, so first_violation pairs each radius as soon as it is built and
+builds no level past the radius that rejects.
 One pair pass serves both inequality checks, folded over inverse twins:
 tr [X^+-1, Y^+-1] is one value, so it pairs one element of each {X, X^-1},
 a quarter of the pairs. J is never below the defect |tr^2 X - 4|, so
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import tolerances as tol
-from .linalg import IDENT, Mat2
+from .linalg import IDENT, UNIT_TRANSLATION, Mat2
 
 MAX_BALL_LEN = 16  # the longest word length a ball is built to
 _PAIR_ENTRIES = 1 << 16  # pairs per pair-kernel tile, so its buffers stay in cache
@@ -207,8 +208,7 @@ def min_c_entry(gens: GeneratorSet, max_len: int) -> float:
     contain [[1,1],[0,1]].
     """
     import numpy as np
-    a_mat = Mat2(1.0, 1.0, 0.0, 1.0)
-    if not any(m.proj_eq(a_mat) for m in gens.mats):
+    if not any(m.proj_eq(UNIT_TRANSLATION) for m in gens.mats):
         raise ValueError("generator set must contain the unit translation [[1,1],[0,1]]")
     mats = _ball_elements(gens, max_len)
     if len(mats) == 0:
@@ -253,25 +253,24 @@ def _primitive_min_defect(traces: np.ndarray) -> float:
     Detection is complete when the traces include the root class, which
     holds for the necklace traces of the lengths exercised here.
 
-    The traces, sign-canonical, are walked in ascending defect, and the
-    first that is no power is the answer, so no class is formed: members of
-    one class pass or fail the test together, and n >= 2 keeps a class from
-    being its own root. A root of trace i has re lam <= reach = re lam_i / 2
-    + LENGTH_SLACK, so |t| = |e^lam + e^-lam| <= 2 cosh(re lam) <= 2 cosh(reach)
-    (Beardon 1983, 4.3); only the traces inside that bound, widened by
-    ROUND_EPS for rounding, have their lam taken.
+    The traces are walked in ascending defect, and the first that is no
+    power is the answer, so no class is formed: members of one class pass or
+    fail the test together, and n >= 2 keeps a class from being its own
+    root. The sign of a trace changes nothing: |t^2 - 4| and |t| are even in
+    t, and the principal arccosh(-w) is arccosh(w) +- i pi, so re lam is the
+    same and the im test, taken mod pi, passes or fails alike. A root of
+    trace i has re lam <= reach = re lam_i / 2 + LENGTH_SLACK, so
+    |t| = |e^lam + e^-lam| <= 2 cosh(re lam) <= 2 cosh(reach) (Beardon 1983,
+    4.3); only the traces inside that bound, widened by ROUND_EPS for
+    rounding, have their lam taken.
     """
     import numpy as np
-    t = traces.copy()
-    near_zero = np.abs(t.real) <= tol.ROUND_EPS
-    flip = (t.real < -tol.ROUND_EPS) | (near_zero & (t.imag < 0))
-    t[flip] *= -1
-    defect, size = np.abs(t * t - 4.0), np.abs(t)
+    defect, size = np.abs(traces * traces - 4.0), np.abs(traces)
     for i in _ascending(defect):
-        lam_i = np.arccosh(t[i] / 2.0)
+        lam_i = np.arccosh(traces[i] / 2.0)
         re_i = abs(lam_i.real)
         reach = re_i / 2.0 + tol.LENGTH_SLACK
-        lam = np.arccosh(t[size <= _reach_size(reach)] / 2.0)
+        lam = np.arccosh(traces[size <= _reach_size(reach)] / 2.0)
         lam_re = np.abs(lam.real)
         candidates = lam_re <= reach
         n = np.round(re_i / lam_re[candidates])
@@ -370,19 +369,15 @@ def _necklace_traces(gens: GeneratorSet, max_len: int) -> np.ndarray:
 
     The products of the tree's rows are one (2, 2, n) array, a row per entry,
     each level formed from its parents (the identity at length 1) and last
-    symbols with 8 complex multiplies; the last level forms only its traces.
+    symbols with 8 complex multiplies.
     """
     import numpy as np
     syms = _symbol_array(gens).transpose(1, 2, 0)
-    *inner, (src, nxt, _) = _necklace_tree(syms.shape[2], max_len)
     prod, traces = np.eye(2, dtype=np.complex128)[:, :, None], []
-    for parent, symbol, neck in inner:
+    for parent, symbol, neck in _necklace_tree(syms.shape[2], max_len):
         p, s = np.take(prod, parent, axis=2), np.take(syms, symbol, axis=2)
         prod = p[:, :1] * s[0] + p[:, 1:] * s[1]
         traces.append(prod[0, 0, neck] + prod[1, 1, neck])
-    p, s = np.take(prod, src, axis=2), np.take(syms, nxt, axis=2)
-    traces.append((p[0, 0] * s[0, 0] + p[0, 1] * s[1, 0])  # tr P S = a sa + b sc + c sb + d sd
-                  + (p[1, 0] * s[0, 1] + p[1, 1] * s[1, 1]))
     return np.concatenate(traces)
 
 
@@ -404,11 +399,10 @@ def min_loxodromic_defect(gens: GeneratorSet, max_len: int) -> float:
     tr w^rev = tr w (Horowitz, Comm. Pure Appl. Math. 25, 1972):
     w^rev(A, B) = w(A^T, B^T)^T, and (A^T, B^T) has the tr A, tr B and
     tr AB that fix every trace through its Fricke polynomial; for three
-    generators tr ABC and tr CBA differ. At length 12 that is products
-    for 18,631 rows of lengths 1..11, then traces for 11,595 length-12
-    necklaces, 18,618 traces in all for the 69,996 necklaces (53,632 rows
-    and 44,370 length-12 necklaces unfolded), from a tree built once per
-    (symbol count, length), where the ball has about 1.06 M elements.
+    generators tr ABC and tr CBA differ. At length 12 that is 30,226
+    products and 18,618 traces, one for each orbit of the 69,996
+    necklaces, from a tree built once per (symbol count, length), where
+    the ball has about 1.06 M elements.
     Powers are still found from the traces, since a word that is no power
     in the free group can be a proper power in the group.
     """

@@ -288,6 +288,20 @@ def test_the_defect_walk_matches_the_sorted_class_search(head, monkeypatch):
         assert math.isclose(got, want, rel_tol=1e-12), name
 
 
+def test_the_defect_walk_ignores_trace_signs():
+    # |t^2 - 4| and |t| are even in t and arccosh(-w) = arccosh(w) +- i pi,
+    # so negating any traces leaves the walk and its answer bit for bit
+    rng = np.random.default_rng(2009)
+    cases = [(label, _loxodromic_necklace_traces(_solved_table_group(label), 12))
+             for label in TABLE_KNOTS]
+    cases += [(f"O_{d}", _loxodromic_necklace_traces(bianchi_generators(d), 6))
+              for d in (1, 3)]
+    for name, lox in cases:
+        flipped = np.where(rng.random(len(lox)) < 0.5, -lox, lox)
+        assert not np.array_equal(flipped, lox), name
+        assert words._primitive_min_defect(flipped) == words._primitive_min_defect(lox), name
+
+
 def test_the_ascending_walk_reads_the_sort_only_past_its_head(monkeypatch):
     values = np.array([5.0, 1.0, 4.0, 1.0, 3.0, 0.5])
     monkeypatch.setattr(words, "_DEFECT_HEAD", 3)
