@@ -50,7 +50,7 @@ def _cx(obj) -> complex:
 
 @dataclass(frozen=True)
 class GtkParams:
-    """theta = pi * theta_num / theta_den and the real parameter k > 0."""
+    """theta = pi * theta_num / theta_den, exact mod 2 pi, and the real k > 0."""
 
     theta_num: int
     theta_den: int
@@ -64,7 +64,7 @@ class GtkParams:
 
     @property
     def theta(self) -> float:
-        return math.pi * self.theta_num / self.theta_den
+        return math.pi * (self.theta_num % (2 * self.theta_den)) / self.theta_den
 
 
 def gtk_generators(params: GtkParams) -> GeneratorSet:
@@ -229,18 +229,19 @@ def _scaled_identification(theta: Fraction, n: int, row: GtkFamilyRow):
 def family_match(params: GtkParams) -> Optional[FamilyMatch]:
     """Look (theta, k) up in the family table, None if absent.
 
-    The theta = pi/6 and theta = pi/3 rows stand for every positive
-    integer multiple of k = sqrt(3)/2, so those match with the
-    appropriate n; all other rows match their single k value.
+    theta is read mod pi, as B(theta + pi, k) = -B(theta, k). The pi/6 and pi/3
+    rows stand for every k = n sqrt(3)/2 while the float k resolves PARAM_EPS;
+    all other rows match their single k value.
     """
-    theta = Fraction(params.theta_num, params.theta_den)
+    theta = Fraction(params.theta_num, params.theta_den) % 1
     half_rt3 = math.sqrt(3.0) / 2.0
     for row in gtk_families():
         if Fraction(row.params.theta_num, row.params.theta_den) != theta:
             continue
         if theta in (Fraction(1, 6), Fraction(1, 3)):
             n = round(params.k / half_rt3)
-            if n >= 1 and abs(params.k - n * half_rt3) <= tol.PARAM_EPS:
+            if (n >= 1 and math.ulp(params.k) <= tol.PARAM_EPS
+                    and abs(params.k - n * half_rt3) <= tol.PARAM_EPS):
                 return FamilyMatch(row, n, _scaled_identification(theta, n, row))
         elif abs(params.k - row.params.k) <= tol.PARAM_EPS:
             return FamilyMatch(row, 1, row.identification)

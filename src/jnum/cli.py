@@ -36,8 +36,8 @@ from .catalog import (BIANCHI_DS, arithcomp_table, bianchi_alpha,
                       GtkParams, knot_table, losid_identity_suite,
                       verify_relations)
 from .linalg import Mat2, jorgensen_pair, proj_dist
-from .riley import (RILEY_A, SCREEN_LEN, knot_jreport, link_jreport,
-                    normalize, riley_b)
+from .riley import (RILEY_A, SCREEN_LEN, TwoBridge, knot_jreport, link_jreport,
+                    riley_b)
 from .words import (MAX_BALL_LEN, GeneratorSet, SearchError, inequality_sweep,
                     min_loxodromic_defect)
 
@@ -146,7 +146,7 @@ def _bridge_command(args) -> dict:
         raise UsageError(f"{command} screens roots at word lengths 2..max_len, "
                          f"so max_len must be at least 2, got {sample_len}")
     try:
-        tb = normalize(p, q)
+        tb = TwoBridge(p, q)
     except ValueError as exc:
         raise UsageError(str(exc))
     if tb.is_knot is not is_knot_cmd:

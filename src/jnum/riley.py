@@ -52,6 +52,7 @@ from .words import GeneratorSet, SearchError, Word, evaluate, first_violation
 
 
 RILEY_A = UNIT_TRANSLATION
+MAX_P = 4001  # past this p every representation polynomial leaves float64
 
 
 def riley_b(z: complex) -> Mat2:
@@ -60,7 +61,7 @@ def riley_b(z: complex) -> Mat2:
 
 @dataclass(frozen=True)
 class TwoBridge:
-    """A two-bridge fraction p/q: gcd(p, q) = 1, 0 < q < p. Knot iff p is odd."""
+    """Two-bridge fraction p/q, 2 <= p <= MAX_P, q reduced mod p. Knot iff p is odd."""
 
     p: int
     q: int
@@ -68,8 +69,11 @@ class TwoBridge:
     def __post_init__(self):
         if self.p < 2:
             raise ValueError("p must be at least 2")
-        if not 0 < self.q < self.p:
-            raise ValueError("q must satisfy 0 < q < p")
+        if self.p > MAX_P:
+            raise ValueError(f"p must be at most {MAX_P}, got {self.p}")
+        object.__setattr__(self, "q", self.q % self.p)
+        if self.q == 0:
+            raise ValueError("q must not be divisible by p")
         if math.gcd(self.p, self.q) != 1:
             raise ValueError(f"p and q must be coprime, got {self.p}/{self.q}")
 
@@ -80,16 +84,6 @@ class TwoBridge:
     def exponents(self) -> tuple:
         """e_i = (-1)^floor(i q / p) for i = 1..p-1. Palindromic when q is odd."""
         return tuple((-1) ** ((i * self.q) // self.p) for i in range(1, self.p))
-
-
-def normalize(p: int, q: int) -> TwoBridge:
-    """Reduce q mod p into (0, p) and validate. Even q is accepted."""
-    if p < 2:
-        raise ValueError("p must be at least 2")
-    q = q % p
-    if q == 0:
-        raise ValueError("q must not be divisible by p")
-    return TwoBridge(p, q)
 
 
 def _alternating_dp(tb: TwoBridge) -> list:
@@ -104,16 +98,14 @@ def _alternating_dp(tb: TwoBridge) -> list:
     f[0] = 1
     for i in range(1, tb.p):
         e = exps[i - 1]
-        top = min(i, tb.p - 1)
-        for t in range(top, 0, -1):
-            if (t ^ i) & 1 == 0:
-                f[t] += e * f[t - 1]
+        for t in range(i, 0, -2):
+            f[t] += e * f[t - 1]
     return f
 
 
 def knot_poly(p: int, q: int) -> IntPoly:
     """The knot representation polynomial W_22 (p odd). Constant term 1."""
-    tb = normalize(p, q)
+    tb = TwoBridge(p, q)
     if not tb.is_knot:
         raise ValueError(f"{p}/{q} is a link fraction (p even); use link_poly")
     f = _alternating_dp(tb)
@@ -134,7 +126,7 @@ class LinkPoly:
 
 def link_poly(p: int, q: int) -> LinkPoly:
     """The link representation polynomial W_21 (p even), raw and normalized."""
-    tb = normalize(p, q)
+    tb = TwoBridge(p, q)
     if tb.is_knot:
         raise ValueError(f"{p}/{q} is a knot fraction (p odd); use knot_poly")
     f = _alternating_dp(tb)
@@ -153,7 +145,7 @@ def word_matrix(p: int, q: int) -> tuple:
     column 1 to column 2.
     """
     a, b, c, d = IntPoly((1,)), IntPoly(()), IntPoly(()), IntPoly((1,))
-    for i, e in enumerate(normalize(p, q).exponents(), start=1):
+    for i, e in enumerate(TwoBridge(p, q).exponents(), start=1):
         if i % 2 == 1:
             ez = IntPoly((0, e))
             a, c = a + ez * b, c + ez * d
@@ -385,7 +377,7 @@ def _bridge_jreport(tb: TwoBridge, sample_len: int) -> BridgeReport:
 
 def knot_jreport(p: int, q: int, *, sample_len: int = SCREEN_LEN) -> BridgeReport:
     """Jorgensen data of the two-bridge knot p/q: J(A, W) = |z| < 4."""
-    tb = normalize(p, q)
+    tb = TwoBridge(p, q)
     if not tb.is_knot:
         raise ValueError(f"{p}/{q} is a link fraction; use link_jreport")
     return _bridge_jreport(tb, sample_len)
@@ -393,7 +385,7 @@ def knot_jreport(p: int, q: int, *, sample_len: int = SCREEN_LEN) -> BridgeRepor
 
 def link_jreport(p: int, q: int, *, sample_len: int = SCREEN_LEN) -> BridgeReport:
     """Jorgensen data of the two-bridge link p/q: J(A, B) = |z|^2 < 16."""
-    tb = normalize(p, q)
+    tb = TwoBridge(p, q)
     if tb.is_knot:
         raise ValueError(f"{p}/{q} is a knot fraction; use knot_jreport")
     return _bridge_jreport(tb, sample_len)

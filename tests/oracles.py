@@ -27,7 +27,7 @@ from jnum import tolerances as tol
 from jnum.catalog import arithcomp_table, gtk_families
 from jnum.intpoly import IntPoly
 from jnum.linalg import Mat2
-from jnum.riley import normalize
+from jnum.riley import TwoBridge
 
 ORDER_CAP = 256  # elliptic rotation-order search bound
 
@@ -86,7 +86,7 @@ def subset_oracle_poly(p: int, q: int) -> IntPoly:
     count: even sizes give the knot polynomial for odd p, odd sizes the raw
     link polynomial for even p.
     """
-    tb = normalize(p, q)
+    tb = TwoBridge(p, q)
     if p > 13:
         raise ValueError("subset oracle is limited to p <= 13")
     exps = tb.exponents()

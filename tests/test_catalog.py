@@ -80,6 +80,13 @@ def test_gtk_theta_plus_pi_gives_the_same_group():
     assert proj_dist(b1, b2) <= 1e-12
 
 
+def test_gtk_theta_is_reduced_mod_two_pi_before_rounding():
+    # pi (10^20 - 1) / 3 is pi mod 2 pi, which the float product loses
+    assert GtkParams(99999999999999999999, 3, 1.0).theta == GtkParams(3, 3, 1.0).theta
+    for num, den in [(1, 6), (5, 4), (11, 6), (3, 2)]:
+        assert GtkParams(num, den, 1.0).theta == math.pi * num / den
+
+
 # ---------------------------------------------------------------------------
 # Bianchi groups
 
@@ -208,9 +215,23 @@ def test_family_match_scaled_rows():
     m = family_match(GtkParams(1, 3, RT3))  # n = 2 over the enlarged field
     assert m.n == 2
     assert m.identification.endswith("; enlarged trace field)")
+    m = family_match(GtkParams(4, 3, RT3))  # theta = pi/3 + pi: the same group
+    assert m.n == 2 and m.identification.endswith("; enlarged trace field)")
     m = family_match(GtkParams(1, 3, RT3 / 2))
     assert m.n == 1
     assert "inverting each parabolic generator" in m.identification
+
+
+def test_scaled_rows_match_only_where_k_resolves_param_eps():
+    half_rt3 = math.sqrt(3.0) / 2.0
+    for den in (6, 3):
+        for n in range(1, 1001):
+            m = family_match(GtkParams(1, den, n * half_rt3))
+            assert m is not None and m.n == n, (den, n)
+        # the float spacing of k passes PARAM_EPS at k = 2^23
+        n = int(2.0 ** 23 / half_rt3)
+        assert family_match(GtkParams(1, den, n * half_rt3)).n == n
+        assert family_match(GtkParams(1, den, (n + 1) * half_rt3)) is None
 
 
 def test_family_match_misses():

@@ -12,6 +12,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from importlib import resources
 from pathlib import Path
 
@@ -76,6 +77,20 @@ def test_exit_code_usage_bad_fraction(capsys):
     assert main(["knot", "6/4"]) == 2
     assert main(["knot", "7/x"]) == 2
     assert "integer parts, got '7/x'" in capsys.readouterr().err
+
+
+def test_huge_p_is_a_usage_error_before_any_work(capsys):
+    # TwoBridge refuses p > MAX_P before the p - 1 exponents are built
+    start = time.perf_counter()
+    assert main(["knot", "99999999999/2"]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert "p must be at most 4001, got 99999999999" in capsys.readouterr().err
+
+
+def test_q_is_reduced_mod_p(capsys):
+    for fraction in ("7/10", "7/-4"):
+        code, env = run_json(capsys, ["knot", fraction])
+        assert code == 0 and record(env, "report")["fraction"] == "7/3"
 
 
 def test_exit_code_pipeline_failure(capsys):
@@ -325,6 +340,35 @@ def test_gtk_field_holds_every_generator(capsys):
     assert code == 0
     rep = record(env, "report")
     assert rep["field_d"] is None and rep["field"] is None
+
+
+def test_gtk_takes_theta_mod_two_pi_exactly(capsys):
+    _, big = run_json(capsys, ["gtk", "99999999999999999999/3", "1"])
+    _, pi = run_json(capsys, ["gtk", "3/3", "1"])
+    gens = [[r for r in env["results"] if r["kind"] == "generator"]
+            for env in (big, pi)]
+    assert gens[0] == gens[1] and len(gens[0]) == 2
+    rep = record(big, "report")
+    assert (rep["commutator_trace_re"], rep["field_d"]) == (1.0, 1)
+
+
+@pytest.mark.parametrize("theta, k, family", [
+    ("3/2", "0.5", "theta = pi/2, k = 1/2"),
+    ("5/2", "0.5", "theta = pi/2, k = 1/2"),
+    ("7/6", "0.8660254037844386", "theta = pi/6, k = sqrt(3)n/2 (n = 1)")])
+def test_gtk_family_lookup_reads_theta_mod_pi(capsys, theta, k, family):
+    code, env = run_json(capsys, ["gtk", theta, k])
+    rep = record(env, "report")
+    assert code == 0 and rep["family"] == family and rep["family_n"] == 1
+    assert rep["note"] == "listed family, arithmetic"
+
+
+@pytest.mark.parametrize("theta, k", [("1/6", "1e16"), ("1/3", "1e200")])
+def test_gtk_no_scaled_family_past_float_resolution(capsys, theta, k):
+    code, env = run_json(capsys, ["gtk", theta, k])
+    rep = record(env, "report")
+    assert code == 0 and rep["family"] is None and rep["family_n"] is None
+    assert rep["note"] == "not a listed family"
 
 
 def test_gtk_unlisted(capsys):

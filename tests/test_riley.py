@@ -10,6 +10,7 @@ from jnum import words
 from jnum.intpoly import IntPoly
 from jnum.linalg import Mat2
 from jnum.riley import (
+    MAX_P,
     RILEY_A,
     SCREEN_LEN,
     GeometricRootError,
@@ -18,7 +19,6 @@ from jnum.riley import (
     knot_poly,
     link_jreport,
     link_poly,
-    normalize,
     riley_b,
     select_geometric_root,
     solve_roots,
@@ -55,10 +55,17 @@ def test_two_bridge_validation():
 
 
 def test_normalize_wraps_q():
-    assert normalize(7, 10) == TwoBridge(7, 3)
-    assert normalize(7, -4) == TwoBridge(7, 3)
+    assert TwoBridge(7, 10) == TwoBridge(7, 3)
+    assert TwoBridge(7, -4) == TwoBridge(7, 3)
     with pytest.raises(ValueError):
-        normalize(7, 14)
+        TwoBridge(7, 14)
+
+
+def test_two_bridge_bounds_p():
+    assert MAX_P == 4001
+    with pytest.raises(ValueError, match="at most 4001"):
+        TwoBridge(4003, 2)
+    assert TwoBridge(4001, 3).q == 3
 
 
 def test_exponents():
