@@ -19,10 +19,10 @@ exceeds 6x = n (210 for x < 14; then induct with Bertrand's postulate).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 from . import tolerances as tol
+from .frozen import frozen
 from .linalg import Mat2, commutator_dev
 
 
@@ -43,7 +43,7 @@ def _squarefree_part(n: int) -> int:
     return res * n
 
 
-@dataclass(frozen=True)
+@frozen
 class QuadImagField:
     """The imaginary quadratic field Q(sqrt(-d)), d squarefree positive."""
 
@@ -131,7 +131,7 @@ def _places_ramify(n: int) -> bool:
 ELLIPTIC_ORDERS = tuple(n for n in range(7, 42) if _places_ramify(n))  # complete, see top
 
 
-@dataclass(frozen=True)
+@frozen
 class EllipticCandidate:
     """Input data for the elliptic-order screen.
 
@@ -160,7 +160,7 @@ class EllipticCandidate:
 PASS, FAIL, UNCHECKED = "pass", "fail", "unchecked"
 
 
-@dataclass(frozen=True)
+@frozen
 class ConditionReport:
     """Six-condition verdict of the elliptic screen."""
 

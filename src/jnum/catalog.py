@@ -20,13 +20,13 @@ from __future__ import annotations
 import cmath
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
 from typing import Optional
 
 from . import tolerances as tol
+from .frozen import frozen
 from .intpoly import IntPoly
 from .linalg import IDENT, UNIT_TRANSLATION, Mat2, proj_dist
 from .words import GeneratorSet, Word, evaluate
@@ -48,7 +48,7 @@ def _cx(obj) -> complex:
 # generator constructions
 
 
-@dataclass(frozen=True)
+@frozen
 class GtkParams:
     """theta = pi * theta_num / theta_den, exact mod 2 pi, and the real k > 0."""
 
@@ -118,7 +118,7 @@ def verify_relations(gens: GeneratorSet, relators) -> tuple:
 # tables
 
 
-@dataclass(frozen=True)
+@frozen
 class CatalogEntry:
     """An arithmetic group with known Jorgensen number, realized as a pair."""
 
@@ -144,7 +144,7 @@ def arithcomp_table() -> tuple:
     return tuple(out)
 
 
-@dataclass(frozen=True)
+@frozen
 class KnotTableRow:
     """A two-bridge knot with tabulated J and primitive defect minimum."""
 
@@ -173,7 +173,7 @@ def geodesic_defect_bound() -> float:
     return float(_load_json("knot_table.json")["geodesic_defect_bound"])
 
 
-@dataclass(frozen=True)
+@frozen
 class GtkFamilyRow:
     """One of the twelve J = 1 families G(theta, k)."""
 
@@ -199,7 +199,7 @@ def gtk_families() -> tuple:
     return tuple(out)
 
 
-@dataclass(frozen=True)
+@frozen
 class FamilyMatch:
     """A (theta, k) hit in the family table."""
 
@@ -252,7 +252,7 @@ def family_match(params: GtkParams) -> Optional[FamilyMatch]:
 # identity suite
 
 
-@dataclass(frozen=True)
+@frozen
 class IdentityCheck:
     """A single matrix identity with its projective deviation.
 

@@ -20,7 +20,6 @@ commands that build a word ball.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
@@ -82,6 +81,7 @@ def _print_human(env: dict) -> None:
 
 
 def _print_csv(records: list) -> None:
+    import csv
     fields: list = []
     for rec in records:
         for key in rec:

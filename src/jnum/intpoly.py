@@ -7,8 +7,9 @@ integer coefficients, e.g. "1,2,1,1" = 1 + 2z + z^2 + z^3.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import repeat, zip_longest
+
+from .frozen import frozen
 
 
 def _trim(coeffs):
@@ -18,7 +19,7 @@ def _trim(coeffs):
     return tuple(cs)
 
 
-@dataclass(frozen=True)
+@frozen
 class IntPoly:
     coeffs: tuple  # ascending; empty tuple is the zero polynomial
 

@@ -14,12 +14,12 @@ so J and the elementarity test form no product matrix.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
 
 from . import tolerances as tol
+from .frozen import frozen
 
 
-@dataclass(frozen=True)
+@frozen
 class Mat2:
     """A 2x2 complex matrix with determinant 1 (within DET_EPS, relative)."""
 
@@ -87,7 +87,7 @@ def proj_dist(x: Mat2, y: Mat2) -> float:
     return min(minus, plus)
 
 
-@dataclass(frozen=True)
+@frozen
 class JReport:
     """J(X, Y) together with the data it was computed from."""
 

@@ -42,10 +42,10 @@ which carries the RootChoice.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 from . import tolerances as tol
+from .frozen import frozen
 from .intpoly import IntPoly, squarefree_factors
 from .linalg import UNIT_TRANSLATION, JReport, Mat2, jorgensen_pair
 from .words import GeneratorSet, SearchError, Word, evaluate, first_violation
@@ -59,7 +59,7 @@ def riley_b(z: complex) -> Mat2:
     return Mat2(1.0, 0.0, z, 1.0)
 
 
-@dataclass(frozen=True)
+@frozen
 class TwoBridge:
     """Two-bridge fraction p/q, 2 <= p <= MAX_P, q reduced mod p. Knot iff p is odd."""
 
@@ -112,7 +112,7 @@ def knot_poly(p: int, q: int) -> IntPoly:
     return IntPoly.from_list(f[0::2])
 
 
-@dataclass(frozen=True)
+@frozen
 class LinkPoly:
     """Raw link polynomial W_21 and its normalization.
 
@@ -158,7 +158,7 @@ def word_matrix(p: int, q: int) -> tuple:
 # numeric roots
 
 
-@dataclass(frozen=True)
+@frozen
 class RootSet:
     """All complex roots of an integer polynomial, with the worst residual."""
 
@@ -222,7 +222,7 @@ def solve_roots(poly: IntPoly) -> RootSet:
 SCREEN_LEN = 6  # default word length of the geometric-root screen
 
 
-@dataclass(frozen=True)
+@frozen
 class RootChoice:
     """Outcome of the geometric-root screen, with the roots it was made from.
 
@@ -317,7 +317,7 @@ class GeometricRootError(SearchError):
         self.choice = choice
 
 
-@dataclass(frozen=True)
+@frozen
 class BridgeReport:
     """Representation data of a two-bridge knot or link at its geometric root."""
 

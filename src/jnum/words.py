@@ -30,10 +30,10 @@ COMM_EPS, the test of linalg.is_nonelementary, decided once in the pass.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 
 from . import tolerances as tol
+from .frozen import frozen
 from .linalg import IDENT, UNIT_TRANSLATION, Mat2
 
 MAX_BALL_LEN = 16  # the longest word length a ball is built to
@@ -45,7 +45,7 @@ class SearchError(RuntimeError):
     """An enumeration finished without finding what it was asked for."""
 
 
-@dataclass(frozen=True)
+@frozen
 class Word:
     """Freely reduced word in run-length form: ((generator_index, exponent), ...)."""
 
@@ -90,7 +90,7 @@ class Word:
                         for idx, exp in self.letters) or "1"
 
 
-@dataclass(frozen=True)
+@frozen
 class GeneratorSet:
     names: tuple
     mats: tuple
@@ -546,7 +546,7 @@ def first_violation(gens: GeneratorSet, max_len: int,
     return None
 
 
-@dataclass(frozen=True)
+@frozen
 class SweepReport:
     """Outcome of an inequality sweep over all ordered ball pairs."""
 

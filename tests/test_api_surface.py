@@ -17,7 +17,7 @@ KEPT = {
                         "binds it by name",
 }
 
-# public class members (methods, properties, dataclass fields) that no code
+# public class members (methods, properties, annotated fields) that no code
 # in src/jnum reads as an attribute, each with the reason it stays
 KEPT_MEMBERS = {
     "rejected": "RootChoice.rejected: read by _root_choice in bench/tracer.py",
@@ -62,7 +62,7 @@ def _orphaned_helpers(paths):
 
 def _public_members(path):
     """(class, name) of every public method, property and annotated
-    (dataclass) field defined in a class body of path."""
+    field defined in a class body of path."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
     members = set()
     for cls in ast.walk(tree):
@@ -110,6 +110,15 @@ def test_the_lint_sees_loads_but_not_definitions(tmp_path):
 
 def test_every_private_helper_has_a_reader():
     assert _orphaned_helpers(sorted(SRC.glob("*.py"))) == set()
+
+
+def test_no_module_generates_code():
+    # the value classes share hand-written methods (jnum.frozen); re.compile
+    # and the like are attributes, not the builtins
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        builtins = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert not builtins & {"exec", "eval", "compile"}, path.name
 
 
 def test_the_helper_lint_finds_an_orphan(tmp_path):

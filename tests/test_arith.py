@@ -113,6 +113,20 @@ def test_candidate_conjugate_count_validation():
         EllipticCandidate(2, 6.0)
 
 
+def test_candidate_keywords_and_defaults():
+    cand = EllipticCandidate(tr2B=6.0, n=7, trB_integral=False)
+    assert (cand.tr2B_conjugates, cand.trAB_integral, cand.trB_integral) == ((), True, False)
+    assert cand == EllipticCandidate(7, 6.0, (), True, False)
+    with pytest.raises(TypeError, match="missing argument 'tr2B'"):
+        EllipticCandidate(7)
+    with pytest.raises(TypeError, match="multiple values for argument 'n'"):
+        EllipticCandidate(7, 6.0, n=8)
+    with pytest.raises(TypeError, match="unexpected keyword argument 'm'"):
+        EllipticCandidate(7, 6.0, m=8)
+    with pytest.raises(TypeError, match="takes 5 positional arguments"):
+        EllipticCandidate(7, 6.0, (), True, True, True)
+
+
 def test_candidate_places():
     half = EllipticCandidate(7, 6.0, (0.1, 0.2))
     labels = arith._conjugate_labels(half.n)

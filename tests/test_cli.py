@@ -4,7 +4,6 @@ cap, and tolerances that no environment variable changes."""
 import cmath
 import contextlib
 import csv
-import dataclasses
 import io
 import json
 import math
@@ -25,7 +24,7 @@ from jnum import catalog, cli, riley
 from jnum import tolerances as tol
 from jnum.arith import PASS, ConditionReport
 from jnum.cli import main
-from jnum.linalg import jorgensen_pair
+from jnum.linalg import JReport, jorgensen_pair
 from jnum.riley import RILEY_A, riley_b
 from jnum.words import GeneratorSet
 from oracles import SWEEP_GROUPS, exact_sweep_counts, omega
@@ -283,7 +282,7 @@ def _far_survivor(tb, *, sample_len):
 def _off_pair(x, y):
     # a J(A, W) that disagrees with |z| at the chosen root
     jr = jorgensen_pair(x, y)
-    return dataclasses.replace(jr, value=jr.value + 0.5)
+    return JReport(jr.value + 0.5, jr.pair, jr.commutator_trace)
 
 
 @pytest.mark.parametrize("name,fake,message", [
@@ -571,6 +570,23 @@ def test_catalog_commands_start_without_numpy():
     ops += [["verify", s] for s in
             ("bianchi", "losid", "arithcomp", "elliptic", "gtk-families")]
     proc = subprocess.run([sys.executable, "-c", _COLD_START, json.dumps(ops)],
+                          capture_output=True, text=True, env=child_env(os.environ))
+    assert proc.returncode == 0, proc.stderr
+
+
+_NO_CODE_GENERATION = """
+import sys
+import jnum.cli
+assert "dataclasses" not in sys.modules and "inspect" not in sys.modules
+assert jnum.cli.main(["gtk", "1/5", "0.9", "--json"]) == 0
+assert "csv" not in sys.modules, "--json"
+assert jnum.cli.main(["gtk", "1/5", "0.9", "--csv"]) == 0
+assert "csv" in sys.modules, "--csv"
+"""
+
+
+def test_import_generates_no_code_and_csv_loads_with_csv_output():
+    proc = subprocess.run([sys.executable, "-c", _NO_CODE_GENERATION],
                           capture_output=True, text=True, env=child_env(os.environ))
     assert proc.returncode == 0, proc.stderr
 

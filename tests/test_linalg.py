@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from jnum.catalog import GtkParams, bianchi_generators, gtk_generators
-from jnum.linalg import (IDENT, Mat2, commutator_dev, is_nonelementary,
+from jnum.linalg import (IDENT, JReport, Mat2, commutator_dev, is_nonelementary,
                          jorgensen_pair, proj_dist)
 from jnum.words import ball_levels
 from oracles import classify, commutator
@@ -26,6 +26,45 @@ def test_determinant_is_validated():
         Mat2(1, 0, 0, 2)
     with pytest.raises(ValueError):
         Mat2(float("nan"), 0, 0, 1)
+
+
+def test_values_with_equal_fields_are_equal_and_hash_alike():
+    m = Mat2(2, 1, 1, 1)
+    assert m == Mat2(2, 1, 1, 1) and hash(m) == hash(Mat2(2, 1, 1, 1))
+    assert m != Mat2(2, -1, -1, 1)
+    report = JReport(1.0, (m, m), 2.0)
+    assert report == JReport(1.0, (m, m), 2.0)
+    assert hash(report) == hash(JReport(1.0, (m, m), 2.0))
+    # an object of another class is unequal, even with the same field values
+    assert m != (2, 1, 1, 1)
+    assert m.__eq__(report) is NotImplemented
+
+
+def test_fields_cannot_be_assigned_or_deleted():
+    m = Mat2(2, 1, 1, 1)
+    with pytest.raises(AttributeError):
+        m.a = 3
+    with pytest.raises(AttributeError):
+        del m.b
+    with pytest.raises(AttributeError):
+        m.extra = 0
+    assert m.entries() == (2, 1, 1, 1)
+
+
+def test_post_init_rebound_on_the_class_runs_on_the_next_construction(monkeypatch):
+    seen = []
+    validate = Mat2.__post_init__
+
+    def counted(m):
+        seen.append(m.entries())
+        validate(m)
+
+    monkeypatch.setattr(Mat2, "__post_init__", counted)
+    Mat2(2, 1, 1, 1)
+    assert seen == [(2, 1, 1, 1)]
+    with pytest.raises(ValueError):
+        Mat2(1, 0, 0, 2)
+    assert len(seen) == 2
 
 
 def test_inverse_and_power():

@@ -61,6 +61,11 @@ def test_normalize_wraps_q():
         TwoBridge(7, 14)
 
 
+def test_two_bridge_repr_shows_the_reduced_q():
+    assert repr(TwoBridge(7, 10)) == "TwoBridge(p=7, q=3)"
+    assert TwoBridge(q=10, p=7) == TwoBridge(7, 3)
+
+
 def test_two_bridge_bounds_p():
     assert MAX_P == 4001
     with pytest.raises(ValueError, match="at most 4001"):
