@@ -23,6 +23,7 @@ import argparse
 import json
 import math
 import sys
+from functools import lru_cache
 from typing import Optional
 
 from . import __version__
@@ -421,7 +422,9 @@ def cmd_verify(args) -> dict:
 # parser
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of a process: parse_args keeps no state in it."""
     parser = argparse.ArgumentParser(
         prog="jnum",
         description="Jorgensen numbers of two-generator Kleinian groups: "

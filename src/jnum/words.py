@@ -9,11 +9,12 @@ takes the ball's trace set from cyclically reduced necklaces instead, one
 of each orbit under inversion and, for two generators, reversal, each
 length's products formed from the one before by one rule, and walks it,
 signs as they come, in ascending defect |tr^2 - 4|, stopping at the first
-trace that is no power, with no sort into classes. A Python set holds the
-grid key of every element seen so far, and each level keeps the first
-candidate, in order, of each key not yet in it. The ball grows one radius
-at a time, so first_violation pairs each radius as soon as it is built and
-builds no level past the radius that rejects.
+trace that is no power, with no sort into classes. One Python dict maps the
+grid key of every element so far to its index: each level keeps the first
+candidate, in order, of each key not in it, then finds there each kept
+element's inverse twin. The ball grows one radius at a time, so
+first_violation pairs each radius as soon as it is built and builds no level
+past the radius that rejects.
 One pair pass serves both inequality checks, folded over inverse twins:
 tr [X^+-1, Y^+-1] is one value, so it pairs one element of each {X, X^-1},
 a quarter of the pairs. J is never below the defect |tr^2 X - 4|, so
@@ -154,32 +155,43 @@ def _canonical_keys(mats: np.ndarray) -> np.ndarray:
 
 
 def _grow_ball(gens: GeneratorSet, max_len: int):
-    """Yield the levels of ball_levels one radius at a time, each as it is built."""
+    """Yield (level, twin) one radius at a time, each as it is built: the level
+    of ball_levels and, per element, the index past the identity of its inverse
+    twin, or -1. X^-1 has the word length of X, so the key of each adjugate
+    [[d, -b], [-c, a]] is looked up once the whole level is in the key dict; a
+    match is a twin only when mutual and another element, so an involution
+    (trace 0), its own inverse, stays alone."""
     import numpy as np
     if max_len > MAX_BALL_LEN:
         raise ValueError(f"max_len capped at {MAX_BALL_LEN}")
     syms = _symbol_array(gens)
     ns = len(syms)
     ident = np.eye(2, dtype=np.complex128)[None]
-    seen = {_canonical_keys(ident).tobytes()}  # grid keys of every element so far
-    yield ident
-    frontier = ident
-    last = np.full(1, -1, dtype=np.int64)
+    index = {_canonical_keys(ident).tobytes(): -1}  # grid key -> index past the identity
+    frontier, last = ident, np.full(1, -1, dtype=np.int64)
+    yield ident, last  # the identity has no twin
     for _ in range(max_len):
         if len(frontier) == 0:
             break
         # each element times every symbol but the inverse of its last one
         src, nxt = np.nonzero(np.arange(ns) != (last[:, None] ^ 1))
         cand = np.einsum("nij,njk->nik", frontier[src], syms[nxt])
+        base = len(index) - 1
         keep = []  # first occurrence of each unseen key, in candidate order
         # each 8 x int64 key row as one 64-byte bytes object
         for i, key in enumerate(_canonical_keys(cand).view("V64")[:, 0].tolist()):
-            if key not in seen:
-                seen.add(key)
+            if key not in index:
+                index[key] = base + len(keep)
                 keep.append(i)
         frontier = cand[keep]
         last = nxt[keep]
-        yield frontier
+        a, b, c, d = frontier.reshape(len(frontier), 4).T
+        adj = _canonical_keys(np.stack((d, -b, -c, a), axis=1)).view("V64")[:, 0]
+        partner = np.array([index.get(key, -1) for key in adj.tolist()], dtype=np.int64)
+        ids = np.arange(base, base + len(frontier))
+        twin = (partner >= base) & (partner != ids)
+        twin[twin] = partner[partner[twin] - base] == ids[twin]
+        yield frontier, np.where(twin, partner, -1)
 
 
 def ball_levels(gens: GeneratorSet, max_len: int):
@@ -189,7 +201,7 @@ def ball_levels(gens: GeneratorSet, max_len: int):
     all levels, so each group element appears once, at its word-length radius
     (up to grid collisions at the 1e-6 quantization).
     """
-    return list(_grow_ball(gens, max_len))
+    return [level for level, _ in _grow_ball(gens, max_len)]
 
 
 def _ball_elements(gens: GeneratorSet, max_len: int) -> np.ndarray:
@@ -449,32 +461,12 @@ def _mat_of(row: np.ndarray) -> Mat2:
                 complex(row[1, 0]), complex(row[1, 1]))
 
 
-def _inverse_twins(mats: np.ndarray) -> np.ndarray:
-    """partner[i]: the index of mats[i]'s inverse in mats, or -1 when it has none.
-
-    The grid key of the adjugate [[d, -b], [-c, a]] of each element is looked up
-    among the keys of mats, and two elements are twins only when the match is
-    mutual and they are different elements: an involution (trace 0) is its own
-    inverse and stays alone, as does an element whose inverse is not in mats.
-    """
-    import numpy as np
-    a, b, c, d = mats.reshape(len(mats), 4).T
-    adj = np.stack((d, -b, -c, a), axis=1)
-    index = {key: i for i, key in enumerate(_canonical_keys(mats).view("V64")[:, 0].tolist())}
-    partner = np.array([index.get(key, -1)
-                        for key in _canonical_keys(adj).view("V64")[:, 0].tolist()],
-                       dtype=np.int64)
-    ids = np.arange(len(mats))
-    twin = (partner >= 0) & (partner != ids)
-    twin[twin] = partner[partner[twin]] == ids[twin]
-    return np.where(twin, partner, -1)
-
-
-def _pair_pass(mats: np.ndarray, threshold: float, count: bool):
+def _pair_pass(mats: np.ndarray, partner: np.ndarray, threshold: float, count: bool):
     """(n_candidates, J, x, y): the non-elementary ordered pairs (mats[x], mats[y])
     with J below threshold, in ascending J and ties in (x, y) order.
 
-    The pass is folded over inverse twins: tr X^-1 = tr X and [X^-1, Y] is
+    partner[i] is the index of mats[i]^-1 in mats, or -1, as _grow_ball finds
+    it. The pass is folded over these twins: tr X^-1 = tr X and [X^-1, Y] is
     conjugate to [X, Y]^-1, so J is one value on (X^+-1, Y^+-1). Only the lower
     index of each twin pair is swept, with weight 2 (1 when alone), and each
     violating pair expands to every member of its two twin pairs, with its J.
@@ -487,7 +479,6 @@ def _pair_pass(mats: np.ndarray, threshold: float, count: bool):
     is n^2 less the weight products of the few elementary swept pairs.
     """
     import numpy as np
-    partner = _inverse_twins(mats)
     reps = np.flatnonzero((partner < 0) | (partner > np.arange(len(mats))))
     tr = mats[reps, 0, 0] + mats[reps, 1, 1]
     defect = np.abs(tr * tr - 4.0)
@@ -534,13 +525,14 @@ def first_violation(gens: GeneratorSet, max_len: int,
     import numpy as np
     if max_len < 2:
         raise ValueError(f"max_len {max_len} below 2: the smallest radius swept is 2")
-    levels = []
-    for radius, level in enumerate(_grow_ball(gens, max_len)):
+    levels, twins = [], []
+    for radius, (level, twin) in enumerate(_grow_ball(gens, max_len)):
         levels.append(level)
+        twins.append(twin)
         if radius < 2:
             continue
         mats = np.concatenate(levels[1:])
-        _, jv, x, y = _pair_pass(mats, threshold, count=False)
+        _, jv, x, y = _pair_pass(mats, np.concatenate(twins[1:]), threshold, count=False)
         if len(jv):
             return float(jv[0]), _mat_of(mats[x[0]]), _mat_of(mats[y[0]])
     return None
@@ -559,10 +551,12 @@ class SweepReport:
 def inequality_sweep(gens: GeneratorSet, max_len: int,
                      threshold: float = 1.0 - tol.J_EPS) -> SweepReport:
     """Check J >= threshold for every non-elementary ordered pair in the ball."""
+    import numpy as np
     if max_len < 1:
         raise ValueError(f"max_len {max_len} below 1: the ball has no pairs")
-    mats = _ball_elements(gens, max_len)
-    n_candidates, jv, x, y = _pair_pass(mats, threshold, count=True)
+    levels, twins = zip(*_grow_ball(gens, max_len))
+    mats = np.concatenate(levels[1:])
+    n_candidates, jv, x, y = _pair_pass(mats, np.concatenate(twins[1:]), threshold, count=True)
     elems = {i: _mat_of(mats[i]) for i in set(x.tolist()) | set(y.tolist())}
     violations = tuple((j, elems[a], elems[b])
                        for j, a, b in zip(jv.tolist(), x.tolist(), y.tolist()))

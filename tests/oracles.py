@@ -7,6 +7,8 @@ computes another way:
     order of an elliptic;
   * commutator: [X, Y] = X Y X^-1 Y^-1 as a product of four matrices, the
     reference for commutator_dev and the pair kernel;
+  * inverse_twins: each element's inverse in an array of elements, by keying
+    the whole array, the reference for the twins the ball builder finds;
   * subset_oracle_poly: the representation polynomial by brute-force
     subset expansion, the reference for the dynamic program;
   * unit_j_pairs: every cataloged pair attaining J = 1;
@@ -28,6 +30,7 @@ from jnum.catalog import arithcomp_table, gtk_families
 from jnum.intpoly import IntPoly
 from jnum.linalg import Mat2
 from jnum.riley import TwoBridge
+from jnum.words import _canonical_keys
 
 ORDER_CAP = 256  # elliptic rotation-order search bound
 
@@ -75,6 +78,26 @@ def classify(m: Mat2) -> MobiusClass:
 
 def commutator(x: Mat2, y: Mat2) -> Mat2:
     return x @ y @ x.inv() @ y.inv()
+
+
+def inverse_twins(mats: np.ndarray) -> np.ndarray:
+    """partner[i]: the index of mats[i]'s inverse in mats, or -1 when it has none.
+
+    The grid key of the adjugate [[d, -b], [-c, a]] of each element is looked up
+    among the keys of mats, and two elements are twins only when the match is
+    mutual and they are different elements: an involution (trace 0) is its own
+    inverse and stays alone, as does an element whose inverse is not in mats.
+    """
+    a, b, c, d = mats.reshape(len(mats), 4).T
+    adj = np.stack((d, -b, -c, a), axis=1)
+    index = {key: i for i, key in enumerate(_canonical_keys(mats).view("V64")[:, 0].tolist())}
+    partner = np.array([index.get(key, -1)
+                        for key in _canonical_keys(adj).view("V64")[:, 0].tolist()],
+                       dtype=np.int64)
+    ids = np.arange(len(mats))
+    twin = (partner >= 0) & (partner != ids)
+    twin[twin] = partner[partner[twin]] == ids[twin]
+    return np.where(twin, partner, -1)
 
 
 def subset_oracle_poly(p: int, q: int) -> IntPoly:

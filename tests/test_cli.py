@@ -108,6 +108,23 @@ def test_exit_code_unknown_suite():
     assert exc.value.code == 2
 
 
+def test_one_parser_serves_every_command_of_a_process(capsys, monkeypatch):
+    # the parser is built once; a usage error in between changes nothing,
+    # so each command reads as it does in a process of its own
+    assert cli.build_parser() is cli.build_parser()
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage lines to it
+    good = ["knot", "7/3", "--json"]
+    for argv in (good, ["verify", "bogus"], ["knot", "6/3"], good):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        proc = subprocess.run([sys.executable, "-m", "jnum.cli", *argv],
+                              capture_output=True, text=True, env=child_env(os.environ))
+        assert (code, out, err) == (proc.returncode, proc.stdout, proc.stderr), argv
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

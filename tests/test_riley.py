@@ -25,7 +25,7 @@ from jnum.riley import (
     word_matrix,
 )
 from jnum.words import GeneratorSet, SearchError, first_violation, inequality_sweep
-from oracles import classify, subset_oracle_poly
+from oracles import classify, inverse_twins, subset_oracle_poly
 
 OMEGA = 0.5 + 0.8660254037844386j  # primitive sixth root of unity
 
@@ -426,10 +426,11 @@ def test_the_screen_grows_each_root_to_the_radius_where_it_stops(monkeypatch):
 def eager_first_violation(gens, max_len, threshold):
     """The screen as one ball built whole to max_len first, then its radii
     2, 3, ... paired in turn by the folded pair pass."""
-    levels = words.ball_levels(gens, max_len)
+    levels, twins = zip(*words._grow_ball(gens, max_len))
     for radius in range(2, max_len + 1):
         mats = np.concatenate(levels[1:radius + 1])
-        _, jv, x, y = words._pair_pass(mats, threshold, count=False)
+        partner = np.concatenate(twins[1:radius + 1])
+        _, jv, x, y = words._pair_pass(mats, partner, threshold, count=False)
         if len(jv):
             return float(jv[0]), mats[x[0]], mats[y[0]]
     return None
@@ -452,3 +453,11 @@ def test_the_lazy_screen_matches_an_eager_one_bit_for_bit(z):
         assert j == eager[0]
         assert x.entries() == tuple(complex(e) for e in eager[1].ravel())
         assert y.entries() == tuple(complex(e) for e in eager[2].ravel())
+
+
+@pytest.mark.parametrize("z", SCREENED, ids=lambda z: f"{z:.4f}")
+def test_the_screen_ball_twins_match_a_whole_ball_match(z):
+    levels, twins = zip(*words._grow_ball(GeneratorSet(("A", "B"), (RILEY_A, riley_b(z))),
+                                          SCREEN_LEN))
+    mats = np.concatenate(levels[1:])
+    assert np.array_equal(np.concatenate(twins[1:]), inverse_twins(mats))

@@ -15,11 +15,11 @@ from jnum import tolerances as tol
 from jnum import words
 from jnum.catalog import BIANCHI_DS, bianchi_generators, knot_table
 from jnum.linalg import Mat2, is_nonelementary, jorgensen_pair, proj_dist
-from jnum.riley import RILEY_A, knot_jreport, riley_b
+from jnum.riley import RILEY_A, SCREEN_LEN, knot_jreport, riley_b
 from jnum.words import (GeneratorSet, Word, ball_levels, evaluate,
                         first_violation, inequality_sweep, min_c_entry,
                         min_loxodromic_defect)
-from oracles import commutator
+from oracles import commutator, inverse_twins
 
 Z8 = 0.5 + 0.8660254037844386j  # the root of 1 - z + z^2 in the upper half plane
 FIG8 = GeneratorSet(("A", "B"), (RILEY_A, riley_b(Z8)))
@@ -640,7 +640,8 @@ def test_pair_tiles_match_a_full_reference_at_any_cap(n, row_frac, entries):
             assert np.array_equal(tile > tol.COMM_EPS, cand[start:start + len(tile), start:])
             tiles.append((start, tile.shape))
         assert_tile_rule(tiles, n, n_rows)
-        n_candidates, jv, x, y = words._pair_pass(mats, threshold, count=True)
+        n_candidates, jv, x, y = words._pair_pass(mats, inverse_twins(mats), threshold,
+                                                  count=True)
     assert n_candidates == int(np.count_nonzero(cand))
     rx, ry = np.nonzero(cand & (jval < threshold))
     assert sorted(zip(x.tolist(), y.tolist())) == sorted(zip(rx.tolist(), ry.tolist()))
@@ -696,14 +697,22 @@ def test_pair_sweeps_of_an_identity_generator_find_no_pairs():
     rep = inequality_sweep(gens, 3)
     assert (rep.n_elements, rep.n_pairs, rep.n_candidates, rep.violations) == (0, 0, 0, ())
     assert first_violation(gens, 3) is None
-    assert len(words._inverse_twins(words._ball_elements(gens, 3))) == 0
+    assert len(grown_ball(gens, 3)[1]) == 0
 
 
 # --- inverse twins -------------------------------------------------------------
 
+def grown_ball(gens, max_len):
+    """The ball past the identity and the twins _grow_ball finds for it."""
+    levels, twins = zip(*words._grow_ball(gens, max_len))
+    return np.concatenate(levels[1:]), np.concatenate(twins[1:])
+
+
+BIANCHI1_TWINS5 = grown_ball(bianchi_generators(1), 5)[1]
+
+
 def test_inverse_twins_are_mutual_inverses():
-    mats = BIANCHI1_BALL5
-    partner = words._inverse_twins(mats)
+    mats, partner = BIANCHI1_BALL5, BIANCHI1_TWINS5
     paired = np.flatnonzero(partner >= 0)
     assert len(paired) > 0.9 * len(mats)
     assert np.array_equal(partner[partner[paired]], paired)
@@ -719,34 +728,46 @@ def test_involutions_stay_alone():
     tr = mats[:, 0, 0] + mats[:, 1, 1]
     involution = np.abs(tr) <= tol.CX_EPS
     assert np.count_nonzero(involution) > 0
-    assert np.all(words._inverse_twins(mats)[involution] == -1)
+    assert np.all(BIANCHI1_TWINS5[involution] == -1)
 
 
 Z73 = -0.21507985450097342 + 1.3071412786820455j  # the root 7/3's screen keeps
 
 
-def test_a_prefix_leaves_the_twins_past_its_end_alone():
-    # the ball is closed under inversion, a prefix of it is not: an element
-    # whose inverse lies past the prefix has no twin in it
-    full = words._inverse_twins(BIANCHI1_BALL5)
-    k = 300
-    partner = words._inverse_twins(BIANCHI1_BALL5[:k])
-    cut = full[:k] >= k
-    assert np.count_nonzero(cut) > 0
-    assert np.all(partner[cut] == -1)
-    assert np.array_equal(partner[~cut], full[:k][~cut])
-    # X^-1 has the word length of X, so a prefix that ends at a level
-    # boundary cuts no twin: each radius of a screen is folded whole
+def test_each_twin_lies_in_its_own_level():
+    # X^-1 has the word length of X, so each radius of a screen is folded whole
     for gens, max_len in ((bianchi_generators(1), 5),
                           (GeneratorSet(("A", "B"), (RILEY_A, riley_b(Z73))), 6)):
-        levels = ball_levels(gens, max_len)
-        mats = np.concatenate(levels[1:])
-        full = words._inverse_twins(mats)
-        for k in np.cumsum([len(level) for level in levels[1:]]):
-            assert np.all(full[:k] < k)
-            assert np.array_equal(words._inverse_twins(mats[:k]), full[:k])
+        twins = [twin for _, twin in words._grow_ball(gens, max_len)][1:]
+        start = 0
+        for twin in twins:
+            paired = twin[twin >= 0]
+            assert np.all((start <= paired) & (paired < start + len(twin)))
+            start += len(twin)
     # 7/3's screen ball holds no involution, so each radius sweeps half of it
-    assert np.all(full >= 0)
+    assert np.all(np.concatenate(twins) >= 0)
+
+
+@pytest.mark.parametrize("d", [None, *BIANCHI_DS], ids=lambda d: f"d{d}" if d else "fig8")
+def test_grown_twins_match_a_whole_ball_match_on_the_sweep_groups(d):
+    mats, twins = grown_ball(FIG8 if d is None else bianchi_generators(d), 5)
+    assert np.array_equal(twins, inverse_twins(mats))
+
+
+def test_a_screen_keys_each_element_once_and_its_adjugate_once(monkeypatch):
+    # 7/3's surviving root grows all SCREEN_LEN radii of a free ball: 1,456
+    # elements past the identity, each keyed as a candidate and as an adjugate
+    rows = []
+    keys = words._canonical_keys
+
+    def counted(mats):
+        rows.append(len(mats))
+        return keys(mats)
+
+    monkeypatch.setattr(words, "_canonical_keys", counted)
+    gens = GeneratorSet(("A", "B"), (RILEY_A, riley_b(Z73)))
+    assert first_violation(gens, SCREEN_LEN, 1.0 - tol.SCREEN_SLACK) is None
+    assert sum(rows) == 1 + 1456 + 1456 == 2913
 
 
 def test_folded_pass_matches_a_full_reference_with_many_violations():
@@ -758,13 +779,13 @@ def test_folded_pass_matches_a_full_reference_with_many_violations():
     tr = mats[:, 0, 0] + mats[:, 1, 1]
     jval = np.abs(tr * tr - 4.0)[:, None] + dev
     cand = dev > tol.COMM_EPS
-    n_candidates, jv, x, y = words._pair_pass(mats, threshold, count=True)
+    partner = inverse_twins(mats)
+    n_candidates, jv, x, y = words._pair_pass(mats, partner, threshold, count=True)
     assert n_candidates == int(np.count_nonzero(cand))
     got = set(zip(x.tolist(), y.tolist()))
     rx, ry = np.nonzero(cand & (jval < threshold))
     assert got == set(zip(rx.tolist(), ry.tolist()))
     assert len(got) > 1000
-    partner = words._inverse_twins(mats)
     for a, b in got:
         for a2 in {a, partner[a]} - {-1}:
             for b2 in {b, partner[b]} - {-1}:
