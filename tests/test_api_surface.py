@@ -1,5 +1,6 @@
-"""Every name jnum exports, every private helper it defines and every
-public member of its classes has a reader in the program itself."""
+"""Every public module-level name of src/jnum, found in the module that
+defines it, every private helper it defines and every public member of
+its classes has a reader in the program itself."""
 
 import ast
 from pathlib import Path
@@ -8,7 +9,7 @@ import jnum
 
 SRC = Path(jnum.__file__).parent
 
-# exported names whose callers are outside src/jnum, each with the reason
+# public names whose callers are outside src/jnum, each with the reason
 # it stays
 KEPT = {
     "word_matrix": "reference oracle for W; bench/tracer.py binds it by name",
@@ -36,9 +37,9 @@ def _loaded_identifiers(path):
             and isinstance(node.ctx, ast.Load)}
 
 
-def _private_definitions(path):
-    """Module-level private names of path: _-prefixed defs, classes and
-    assignment targets (dunders such as __all__ excluded)."""
+def _module_definitions(path):
+    """Module-level names of path: defs, classes and assignment targets
+    (imports excluded)."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
     names = set()
     for node in tree.body:
@@ -48,16 +49,35 @@ def _private_definitions(path):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             names |= {n.id for t in targets for n in ast.walk(t)
                       if isinstance(n, ast.Name)}
-    return {n for n in names if n.startswith("_") and not n.startswith("__")}
+    return names
+
+
+def _private_definitions(path):
+    """Module-level private names of path: _-prefixed, dunders such as
+    __all__ excluded."""
+    return {n for n in _module_definitions(path)
+            if n.startswith("_") and not n.startswith("__")}
+
+
+def _public_definitions(path):
+    """Module-level public names of path: those without a leading _."""
+    return {n for n in _module_definitions(path) if not n.startswith("_")}
+
+
+def _unread_definitions(paths, definitions):
+    """(file, name) of each name that definitions finds in one of paths
+    and that none of paths reads."""
+    defined, read = set(), set()
+    for path in paths:
+        defined |= {(path.name, name) for name in definitions(path)}
+        read |= _loaded_identifiers(path)
+    return {(file, name) for file, name in defined if name not in read}
 
 
 def _orphaned_helpers(paths):
     """Private names defined in one of paths that none of them reads."""
-    defined, read = set(), set()
-    for path in paths:
-        defined |= {(path.name, name) for name in _private_definitions(path)}
-        read |= _loaded_identifiers(path)
-    return {f"{file}:{name}" for file, name in defined if name not in read}
+    return {f"{file}:{name}"
+            for file, name in _unread_definitions(paths, _private_definitions)}
 
 
 def _public_members(path):
@@ -92,14 +112,9 @@ def _unread_members(paths):
     return {(cls, name) for cls, name in members if name not in read}
 
 
-def test_every_export_has_a_program_caller():
-    used = set()
-    for path in sorted(SRC.glob("*.py")):
-        if path.name != "__init__.py":
-            used |= _loaded_identifiers(path)
-    uncalled = {name for name in jnum.__all__
-                if name != "__version__" and name not in used}
-    assert uncalled == set(KEPT)
+def test_every_public_name_has_a_program_caller():
+    unread = _unread_definitions(sorted(SRC.glob("*.py")), _public_definitions)
+    assert {name for _, name in unread} == set(KEPT), sorted(unread)
 
 
 def test_the_lint_sees_loads_but_not_definitions(tmp_path):
@@ -129,6 +144,22 @@ def test_the_helper_lint_finds_an_orphan(tmp_path):
                    "        pass\n\n\nclass _Orphan:\n    pass\n")
     assert _private_definitions(lib) == {"_K", "_L", "_used", "_Orphan"}
     assert _orphaned_helpers([user, lib]) == {"lib.py:_L", "lib.py:_Orphan"}
+
+
+def test_the_public_name_lint_finds_an_unread_name(tmp_path):
+    lib = tmp_path / "lib.py"
+    lib.write_text("from .other import Imported\nCAP = 3\nUSED, SPARE = 1, 2\n"
+                   "_hidden = 0\n\n\ndef called():\n    pass\n\n\n"
+                   "def spare():\n    pass\n\n\nclass Shown:\n    pass\n")
+    user = tmp_path / "user.py"
+    user.write_text("from . import lib\nfrom .lib import called\n\n\n"
+                    "def _run():\n    return called(), lib.USED, lib.Shown\n")
+    assert _public_definitions(lib) == {"CAP", "USED", "SPARE", "called",
+                                        "spare", "Shown"}
+    # called is read as a bare name, USED and Shown as attributes; the
+    # private _hidden and _run and the imported Imported are not public names
+    assert _unread_definitions([lib, user], _public_definitions) == {
+        ("lib.py", "CAP"), ("lib.py", "SPARE"), ("lib.py", "spare")}
 
 
 def test_every_public_member_has_a_reader():

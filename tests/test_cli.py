@@ -591,6 +591,23 @@ def test_catalog_commands_start_without_numpy():
     assert proc.returncode == 0, proc.stderr
 
 
+_BARE_IMPORT = """
+import sys
+import jnum
+loaded = sorted(name for name in sys.modules if name.startswith("jnum."))
+assert not loaded, loaded
+assert "numpy" not in sys.modules
+assert jnum.__version__ == "0.1.0", jnum.__version__
+"""
+
+
+def test_the_package_root_imports_nothing():
+    # each public name has one import path, its module's
+    proc = subprocess.run([sys.executable, "-c", _BARE_IMPORT],
+                          capture_output=True, text=True, env=child_env(os.environ))
+    assert proc.returncode == 0, proc.stderr
+
+
 _NO_CODE_GENERATION = """
 import sys
 import jnum.cli
