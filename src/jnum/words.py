@@ -17,9 +17,11 @@ first_violation pairs each radius as soon as it is built and builds no level
 past the radius that rejects.
 One pair pass serves both inequality checks, folded over inverse twins:
 tr [X^+-1, Y^+-1] is one value, so it pairs one element of each {X, X^-1},
-a quarter of the pairs. J is never below the defect |tr^2 X - 4|, so
-unless it counts candidates the pass forms the pairs of only the rows X
-with a defect below the threshold, moved to the front. The pair kernel
+a quarter of the pairs. J is never below the defect |tr^2 X - 4|, so the
+pass moves its front rows, those X with a defect below the threshold and
+any row that is not finite, to the front and forms only their pairs. When
+it counts candidates, it finds the elementary pairs among the other rows
+by their shared fixed points, with no pair kernel. The pair kernel
 forms tr [X, Y] - 2 = (s - p)(s + p), as in linalg.commutator_dev, in tiles
 of k = min(rows left, max(1, _PAIR_ENTRIES // w)) rows against the
 w = n - start columns from the tile's first row on: each unordered pair once,
@@ -39,6 +41,9 @@ from .linalg import IDENT, UNIT_TRANSLATION, Mat2
 
 MAX_BALL_LEN = 16  # the longest word length a ball is built to
 _PAIR_ENTRIES = 1 << 16  # pairs per pair-kernel tile, so its buffers stay in cache
+# entries per GEMM call: with inner dimension 4, fewer than 2^16 multiply-adds,
+# which OpenBLAS runs on the calling thread instead of waking its thread pool
+_GEMM_ENTRIES = (1 << 14) - 1
 _DEFECT_HEAD = 64  # traces the defect walk orders before it sorts them all
 
 
@@ -435,8 +440,11 @@ def _pair_devs(mats: np.ndarray, n_rows: int):
     Tiles of k = min(rows left, max(1, _PAIR_ENTRIES // (n - start))) rows cover rows
     0..n_rows - 1 in order. s + p and s - p of linalg.commutator_dev are one complex
     GEMM of the rows (u, b, c, +-r), u = a - d, r = sqrt(t - 2) sqrt(t + 2), with the
-    columns (u/2, c, b, r/2). Every tile reuses two complex and one float buffer, so
-    it is valid only until the next one is yielded.
+    columns (u/2, c, b, r/2), run in balanced row blocks of at most
+    _GEMM_ENTRIES // (n - start) rows, so that every product stays on the calling
+    thread. A block is one row, which numpy hands to GEMV, only in a tile of one
+    row or where that bound is under 3 rows. Every tile reuses two complex and one
+    float buffer, so it is valid only until the next one is yielded.
     """
     import numpy as np
     n = len(mats)
@@ -450,7 +458,10 @@ def _pair_devs(mats: np.ndarray, n_rows: int):
     while start < n_rows:
         k = min(n_rows - start, max(1, _PAIR_ENTRIES // (n - start)))
         tile = s_pm[:, :k * (n - start)].reshape(2, k, -1)
-        np.matmul(rows[:, start:start + k], cols[:, start:], out=tile)
+        blocks = -(-k // max(1, _GEMM_ENTRIES // (n - start)))
+        for i in range(blocks):
+            lo, hi = k * i // blocks, k * (i + 1) // blocks
+            np.matmul(rows[:, start + lo:start + hi], cols[:, start:], out=tile[:, lo:hi])
         np.multiply(tile[0], tile[1], out=tile[0])
         yield start, np.abs(tile[0], out=dev[:k * (n - start)].reshape(k, -1))
         start += k
@@ -459,6 +470,50 @@ def _pair_devs(mats: np.ndarray, n_rows: int):
 def _mat_of(row: np.ndarray) -> Mat2:
     return Mat2(complex(row[0, 0]), complex(row[0, 1]),
                 complex(row[1, 0]), complex(row[1, 1]))
+
+
+def _elementary_back_weight(mats: np.ndarray, weight: np.ndarray) -> int:
+    """Sum of w_x w_y over the ordered pairs (X, Y) of rows of mats with
+    |tr [X, Y] - 2| <= COMM_EPS; every row is finite and neither +-I nor parabolic.
+
+    For such X, Y, tr [X, Y] = 2 exactly when they share a fixed point
+    (Gehring-Martin, Complex Variables 12, 1989), so only the rows that share
+    a fixed point's key, and each row with itself, are tested. The fixed points
+    [m : 2c] and [2b : -m], m the larger in modulus of u +- r (u = a - d, r as
+    in _pair_devs), cancel nothing; each is keyed on the QUANT grid by its point
+    (2 Re z1 z2*, 2 Im z1 z2*, |z1|^2 - |z2|^2) / (|z1|^2 + |z2|^2) of the unit
+    sphere, so infinity is no special case. The test is linalg.commutator_dev's
+    arithmetic, so the sum equals the tiles' count whenever no pair's
+    |tr [X, Y] - 2| lies within rounding of COMM_EPS. Where one does, as a row
+    with itself or a pair with a shared fixed point can once the entries reach
+    the hundreds, the tiles, which sum in another order, may read it on the
+    other side of COMM_EPS, and the two counts differ by its weight.
+    """
+    import numpy as np
+    n = len(mats)
+    a, b, c, d = mats.reshape(n, 4).T
+    u, r = a - d, np.sqrt(a + d - 2) * np.sqrt(a + d + 2)
+    m = np.where(np.abs(u + r) >= np.abs(u - r), u + r, u - r)
+    z1, z2 = np.concatenate((m, 2 * b)), np.concatenate((2 * c, -m))
+    w, n1, n2 = z1 * z2.conj(), np.abs(z1) ** 2, np.abs(z2) ** 2
+    key = np.round(np.stack((2 * w.real, 2 * w.imag, n1 - n2)) / ((n1 + n2) * tol.QUANT))
+    by_key = np.lexsort(key)
+    key, row = key[:, by_key], by_key % n
+    x, y, gap = [np.arange(n)], [np.arange(n)], 1  # each row with itself
+    # the entries gap apart in key order; the entries of one key are one run,
+    # so no two past the longest run share it
+    while (same := (key[:, gap:] == key[:, :-gap]).all(axis=0)).any():
+        x.append(row[:-gap][same])
+        y.append(row[gap:][same])
+        gap += 1
+    x, y = np.concatenate(x), np.concatenate(y)
+    pair = np.sort(np.minimum(x, y) * n + np.maximum(x, y))
+    x, y = np.divmod(pair[np.diff(pair, prepend=-1) != 0], n)
+    s = u[x] * u[y] / 2 + (b[x] * c[y] + c[x] * b[y])
+    p = r[x] * r[y] / 2
+    elementary = np.abs((s - p) * (s + p)) <= tol.COMM_EPS
+    w = weight[x] * weight[y] * np.where(x == y, 1, 2)
+    return int(w[elementary].sum())
 
 
 def _pair_pass(mats: np.ndarray, partner: np.ndarray, threshold: float, count: bool):
@@ -471,30 +526,35 @@ def _pair_pass(mats: np.ndarray, partner: np.ndarray, threshold: float, count: b
     index of each twin pair is swept, with weight 2 (1 when alone), and each
     violating pair expands to every member of its two twin pairs, with its J.
     J(X, Y) = |tr^2 X - 4| + |tr [X, Y] - 2| is never below the defect
-    |tr^2 X - 4|, in floats too, so the swept rows with a defect below
-    threshold move to the front, in order, and only their tiles are formed.
-    Since |tr [X, Y] - 2| is symmetric in X and Y, an entry right of its
-    tile's square part stands for both orders. With count every tile is
-    formed, and n_candidates, the ordered pairs with |tr [X, Y] - 2| > COMM_EPS,
-    is n^2 less the weight products of the few elementary swept pairs.
+    |tr^2 X - 4|, in floats too. So the front rows, the swept rows with a
+    defect below threshold and those not finite, move to the front, in order,
+    and only their tiles are formed, with or without count; one mask decides
+    both the order and the number of rows formed. Since |tr [X, Y] - 2| is
+    symmetric in X and Y, an entry right of its tile's square part stands for
+    both orders, and the tiles hold every pair with a front row. With count,
+    n_candidates, the ordered pairs with |tr [X, Y] - 2| > COMM_EPS, is n^2 less
+    the weight products of the few elementary swept pairs: those in the tiles,
+    NaN pairs among them, and those among the back rows, each finite with a
+    nonzero defect at or above threshold, from _elementary_back_weight.
     """
     import numpy as np
     reps = np.flatnonzero((partner < 0) | (partner > np.arange(len(mats))))
     tr = mats[reps, 0, 0] + mats[reps, 1, 1]
     defect = np.abs(tr * tr - 4.0)
-    order = np.argsort(defect >= threshold, kind="stable")
-    n_low = int(np.count_nonzero(defect < threshold))
+    back = (defect >= threshold) & (defect > 0) & np.isfinite(mats[reps]).all(axis=(1, 2))
+    order = np.argsort(back, kind="stable")
+    n_front = len(order) - int(np.count_nonzero(back))
     defect, order = defect[order], reps[order]
     weight = np.where(partner[order] < 0, 1, 2)
     n_candidates, hits = len(mats) ** 2, [(np.empty(0), order[:0], order[:0])]
-    for start, dev in _pair_devs(mats[order], len(order) if count else n_low):
+    if count:
+        n_candidates -= _elementary_back_weight(mats[order[n_front:]], weight[n_front:])
+    for start, dev in _pair_devs(mats[order], n_front):
         cand = dev > tol.COMM_EPS
         if count:
             r, c = np.divmod(np.flatnonzero(~cand), dev.shape[1])  # elementary, or NaN
             w = weight[start + r] * weight[start + c]
             n_candidates -= 2 * int(w.sum()) - int(w[c < len(dev)].sum())
-        if start >= n_low:
-            continue
         r, c = np.nonzero(cand & (dev < threshold))  # J >= dev, in floats too
         mirror = c >= len(dev)
         x = start + np.concatenate((r, c[mirror]))

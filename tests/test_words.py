@@ -557,6 +557,35 @@ def assert_tile_rule(tiles, n, n_rows):
         assert k == 1 or k * width <= words._PAIR_ENTRIES
 
 
+def test_pair_products_run_in_blocks_one_blas_thread_computes(monkeypatch):
+    # Bianchi d = 1 at length 5 has 544 elements: a tile of 120 rows holds
+    # 65,280 pairs and runs as four products of 30 rows, each with fewer
+    # than 2^16 multiply-adds (inner dimension 4), which OpenBLAS keeps on
+    # the calling thread; no tile of several rows is cut to one row (GEMV)
+    mats = words._ball_elements(bianchi_generators(1), 5)
+    n = len(mats)
+    blocks = []
+    gemm = np.matmul
+
+    def spy(x, y, out):
+        blocks.append((x.shape[-2], y.shape[-1]))
+        return gemm(x, y, out=out)
+
+    monkeypatch.setattr(np, "matmul", spy)
+    tiles = [(start, dev.copy()) for start, dev in words._pair_devs(mats, n)]
+    assert blocks[:4] == [(30, n)] * 4
+    assert all(4 * rows * width < 1 << 16 for rows, width in blocks)
+    assert all(rows >= 2 for rows, _ in blocks)
+    # one product per tile gives the same bits
+    n_blocks = len(blocks)
+    monkeypatch.setattr(words, "_GEMM_ENTRIES", 1 << 30)
+    whole = [(start, dev.copy()) for start, dev in words._pair_devs(mats, n)]
+    assert len(blocks) - n_blocks == len(whole) < n_blocks
+    assert [start for start, _ in tiles] == [start for start, _ in whole]
+    for (_, dev), (_, ref) in zip(tiles, whole):
+        assert np.array_equal(dev, ref)
+
+
 def test_pair_blocks_stay_under_the_entry_cap(monkeypatch):
     # a 20,000-wide tile takes three rows at the default cap; at 2^12 one
     # row is wider than the cap, and such a tile is a single row
@@ -800,6 +829,75 @@ def test_folded_count_matches_an_unfolded_count_on_the_sweep_groups(d):
     rep = inequality_sweep(gens, 5)
     mats = words._ball_elements(gens, 5)
     assert rep.n_candidates == int(np.count_nonzero(full_pair_devs(mats) > tol.COMM_EPS))
+
+
+@pytest.mark.parametrize("count", [False, True])
+def test_a_nan_row_keeps_no_low_row_out_of_the_tiles(count):
+    # the all-NaN row is formed in the tiles with the low rows, so the pass
+    # still forms the parabolic A and finds J(A, Z) = 0 + |c_Z b_A|^2
+    nan = np.full((2, 2), np.nan, dtype=np.complex128)
+    z = np.array([[1.5, 2.5], [0.5, 1.5]], dtype=np.complex128)
+    a = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=np.complex128)
+    mats = np.stack((nan, z, a))
+    _, jv, x, y = words._pair_pass(mats, np.full(3, -1), 1.0 - tol.J_EPS, count)
+    assert (x.tolist(), y.tolist()) == ([2], [1])
+    assert jv.tolist() == pytest.approx([0.25], rel=1e-12)
+
+
+def test_the_sweep_forms_only_its_front_rows(monkeypatch):
+    # Bianchi d = 1 at length 5 sweeps 283 rows, one of each {X, X^-1}, of
+    # which 56 have a defect below 1; the elementary pairs among the rest
+    # come from their fixed points, so only the 56 are formed in tiles
+    formed, pair_devs = [], words._pair_devs
+
+    def recorded(mats, n_rows):
+        formed.append((len(mats), n_rows))
+        return pair_devs(mats, n_rows)
+
+    monkeypatch.setattr(words, "_pair_devs", recorded)
+    gens = bianchi_generators(1)
+    rep = inequality_sweep(gens, 5)
+    assert formed == [(283, 56)]
+    mats = words._ball_elements(gens, 5)
+    assert rep.n_candidates == int(np.count_nonzero(full_pair_devs(mats) > tol.COMM_EPS))
+
+
+def with_fixed_points(p, q, k=1.5 + 0.5j):
+    """The element with multiplier k^2 at p and k^-2 at q (p = None for infinity),
+    as S diag(k, 1/k) S^-1 with S = [[p, q], [1, 1]] / sqrt(p - q)."""
+    s = np.array([[1, q], [0, 1]] if p is None else [[p, q], [1, 1]], dtype=np.complex128)
+    s /= np.sqrt(np.linalg.det(s))
+    return s @ np.diag([k, 1 / k]) @ np.array([[s[1, 1], -s[0, 1]], [-s[1, 0], s[0, 0]]])
+
+
+UNIT = np.exp(1j * math.pi / 3)
+FIXED_POINT_CASES = {  # the ordered elementary pairs of each case, diagonal included
+    "rotations sharing infinity": ([[[1j, 0], [0, -1j]], [[1j, -1j], [0, -1j]]], 4),
+    "X and X^2": ([[[2, 1], [1, 1]], [[5, 3], [3, 2]]], 4),
+    "a shared point on |z| = 1": ([with_fixed_points(UNIT, 0.5),
+                                   with_fixed_points(UNIT, -3.0, 2.0)], 4),
+    # u + r = 0 exactly for diag(1/2, 2), whose points would both be [0 : 0]
+    "infinity beside 1e7": ([[[0.5, 0], [0, 2]], with_fixed_points(1e7, 5.0),
+                             [[3, 1], [0, 1 / 3]]], 5),
+    "points 1e-4 apart": ([with_fixed_points(0.3, 2.0), with_fixed_points(0.3001, 5.0)], 2),
+}
+
+
+@pytest.mark.parametrize("case", [*FIXED_POINT_CASES, "all"])
+def test_the_fixed_point_count_matches_a_pairwise_count(case):
+    if case == "all":
+        rows = [row for rows, _ in FIXED_POINT_CASES.values() for row in rows]
+    else:
+        rows, n_elementary = FIXED_POINT_CASES[case]
+    mats = np.array(rows, dtype=np.complex128)
+    elems = [words._mat_of(m) for m in mats]
+    for weight in (np.ones(len(mats), dtype=np.int64), np.arange(len(mats)) % 2 + 1):
+        ref = sum(int(weight[i] * weight[j])
+                  for i, j in itertools.product(range(len(mats)), repeat=2)
+                  if not is_nonelementary(elems[i], elems[j]))
+        assert words._elementary_back_weight(mats, weight) == ref
+        if case != "all" and weight.max() == 1:
+            assert ref == n_elementary
 
 
 def test_sweep_violations_carry_their_pairs_j():
